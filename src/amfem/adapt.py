@@ -24,21 +24,22 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import __version__ as _pkg_version
-from .estimate import indicators_full, indicators_stress, oscillations
-from .fem import (PwConstData, assemble, build_dofmap, eval_f_on_elements,
-                  project_f, solve)
+from .estimate import (data_osc_elem, indicators_full, indicators_stress,
+                       oscillations)
+from .fem import PwConstData, assemble, build_dofmap, project_f, solve
 from .mesh import create_initial, refine, uniform_refine
 from .problems import exact_errors
-from .quadrature import TRI_6, tri_points
 from .util import ordered_sum
 
 __all__ = [
-    "MarkSet", "AdaptTrace", "RateFit", "dorfler_mark", "amfem",
-    "approx_data", "two_step", "fit_rate", "contraction_scan",
-    "make_reference", "DEFAULT_GAMMA_GRID",
+    "MarkSet", "AdaptTrace", "RateFit", "DataApproxError", "dorfler_mark",
+    "solve_on", "amfem", "approx_data", "two_step", "fit_rate",
+    "contraction_scan", "make_reference", "data_osc_elem",
+    "DEFAULT_GAMMA_GRID",
 ]
 
 DEFAULT_GAMMA_GRID = tuple(np.logspace(-3.0, 1.0, 13))
+REFERENCE_LEVELS = 2
 
 TRACE_COLUMNS = ("k", "n_elem", "n_flux_dofs", "eta2", "osc2", "osc_f2",
                  "n_marked", "E2", "quasi_err", "secs")
@@ -61,11 +62,15 @@ class MarkSet:
     all_zero: bool = False
 
 
-def dorfler_mark(report, theta):
-    """Greedy bulk marking on the squared indicators of ``report``."""
+class DataApproxError(RuntimeError):
+    """Raised when the data approximation exhausts its max_iter steps."""
+
+
+def dorfler_mark(eta2, theta):
+    """Greedy bulk marking on the squared per-element indicators ``eta2``."""
     if not 0.0 < theta <= 1.0:
         raise ValueError("theta must lie in (0, 1]")
-    eta2 = np.asarray(report.eta2_elem, dtype=np.float64)
+    eta2 = np.asarray(eta2, dtype=np.float64)
     n = eta2.shape[0]
     order = np.lexsort((np.arange(n), -eta2))
     csum = np.cumsum(eta2[order])
@@ -86,7 +91,7 @@ def dorfler_mark(report, theta):
 
 @dataclass
 class IterationState:
-    """Everything produced at one adaptive iteration (kept on request)."""
+    """Everything produced at one adaptive iteration."""
     k: int
     mesh: object
     sol: object
@@ -147,6 +152,12 @@ class AdaptTrace:
             fh.write("\n")
 
 
+def solve_on(problem, mesh):
+    """Project f onto ``mesh``, assemble and solve the mixed system there."""
+    f_elem = project_f(problem.f, mesh)
+    return solve(assemble(mesh, build_dofmap(mesh), problem, f_elem), f_elem)
+
+
 def _measure(sol, problem, errors_vs):
     prob = errors_vs if errors_vs is not None else problem
     if prob.has_exact:
@@ -156,8 +167,7 @@ def _measure(sol, problem, errors_vs):
 
 def amfem(problem, eps=0.0, theta=0.5, b=1, max_dofs=100_000, max_iter=100,
           mode="adaptive", estimator="stress", kappa=1.0, gamma=1.0,
-          mesh0=None, errors="auto", reference_levels=2, keep=False,
-          solver="direct", errors_vs=None, seed=None):
+          mesh0=None, errors="auto", keep=False, errors_vs=None):
     """Run the adaptive (or uniform) loop and return its trace.
 
     Parameters
@@ -167,12 +177,13 @@ def amfem(problem, eps=0.0, theta=0.5, b=1, max_dofs=100_000, max_iter=100,
     b : bisections per marked element.
     mode : "adaptive" (bulk marking) or "uniform" (every element marked).
     errors : "auto" measures against the closed-form solution when one
-        exists; "reference" solves once on ``reference_levels`` extra
-        uniform refinements of the final mesh and backfills every row;
+        exists; "reference" solves once on two extra uniform refinements
+        of the final mesh and backfills every row;
         "none" skips error measurement.
     errors_vs : measure errors against this problem spec instead (used by
         :func:`two_step`, whose solve data differ from the original f).
-    keep : retain per-iteration meshes/solutions/reports in ``trace.states``.
+    keep : retain every iteration's mesh, solution and reports in
+        ``trace.states``; otherwise only the final iteration's are kept.
     """
     if mode not in ("adaptive", "uniform"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -184,8 +195,8 @@ def amfem(problem, eps=0.0, theta=0.5, b=1, max_dofs=100_000, max_iter=100,
     meta = {
         "problem": problem.name, "domain": problem.domain, "mode": mode,
         "estimator": estimator, "theta": theta, "kappa": kappa, "b": b,
-        "eps": eps, "max_dofs": max_dofs, "gamma": gamma, "solver": solver,
-        "errors": errors, "seed": seed, "version": _pkg_version,
+        "eps": eps, "max_dofs": max_dofs, "gamma": gamma,
+        "errors": errors, "version": _pkg_version,
         "columns": list(TRACE_COLUMNS),
     }
     trace = AdaptTrace(meta)
@@ -193,15 +204,12 @@ def amfem(problem, eps=0.0, theta=0.5, b=1, max_dofs=100_000, max_iter=100,
     k = 0
     while True:
         t0 = time.perf_counter()
-        dofmap = build_dofmap(mesh)
-        f_elem = project_f(problem.f, mesh)
-        sol = solve(assemble(mesh, dofmap, problem, f_elem), f_elem,
-                    method=solver)
+        sol = solve_on(problem, mesh)
         if estimator == "stress":
-            report = indicators_stress(mesh, sol, problem, f_elem)
+            report = indicators_stress(mesh, sol, problem, sol.f_elem)
         else:
-            report = indicators_full(mesh, sol, problem, kappa, f_elem)
-        osc = oscillations(mesh, sol, problem, f_elem)
+            report = indicators_full(mesh, sol, problem, kappa, sol.f_elem)
+        osc = oscillations(mesh, sol, problem, sol.f_elem)
 
         et = _measure(sol, problem, errors_vs) if errors == "auto" else None
         row = {
@@ -226,7 +234,7 @@ def amfem(problem, eps=0.0, theta=0.5, b=1, max_dofs=100_000, max_iter=100,
                 marked = np.arange(mesh.n_elements)
                 ms = None
             else:
-                ms = dorfler_mark(report, theta)
+                ms = dorfler_mark(report.eta2_elem, theta)
                 marked = ms.ids
                 if marked.size == 0:
                     stop = True
@@ -248,19 +256,14 @@ def amfem(problem, eps=0.0, theta=0.5, b=1, max_dofs=100_000, max_iter=100,
         k += 1
 
     if errors == "reference":
-        _backfill_reference(trace, problem, gamma, reference_levels, solver,
-                            errors_vs)
-    if not keep and errors == "reference":
-        trace.states = []
+        _backfill_reference(trace, problem, gamma, errors_vs)
+    if not keep:
+        trace.states = [state]
     return trace
 
 
-def _backfill_reference(trace, problem, gamma, levels, solver, errors_vs):
-    final = trace.states[-1].mesh
-    ref_mesh = uniform_refine(final, levels)
-    f_ref = project_f(problem.f, ref_mesh)
-    ref_sol = solve(assemble(ref_mesh, build_dofmap(ref_mesh), problem, f_ref),
-                    f_ref, method=solver)
+def _backfill_reference(trace, problem, gamma, errors_vs):
+    ref_sol = make_reference(problem, trace.states[-1].mesh)
     prob = errors_vs if errors_vs is not None else problem
     for row, st in zip(trace.rows, trace.states):
         et = exact_errors(st.sol, prob, reference=ref_sol)
@@ -270,29 +273,11 @@ def _backfill_reference(trace, problem, gamma, levels, solver, errors_vs):
         row["div_err2"] = et.div2
         row["disp_err2"] = et.disp2
         row["surrogate"] = True
-    trace.meta["reference_levels"] = levels
-    trace.meta["reference_n_elem"] = ref_mesh.n_elements
+    trace.meta["reference_levels"] = REFERENCE_LEVELS
+    trace.meta["reference_n_elem"] = ref_sol.mesh.n_elements
 
 
-def data_osc_elem(f, mesh):
-    """Per-element squared data oscillation h_T^2 ||f - f_h||_T^2."""
-    if isinstance(f, PwConstData):
-        return np.zeros(mesh.n_elements)
-    f_elem = project_f(f, mesh)
-    pts = tri_points(TRI_6, mesh.vertices[mesh.triangles])
-    fv = eval_f_on_elements(f, mesh, pts)
-    _, w = TRI_6
-    return ((fv - f_elem[:, None]) ** 2 @ w) * mesh.areas ** 2
-
-
-class _OscSurface:
-    """Adapter so dorfler_mark can rank plain per-element values."""
-
-    def __init__(self, values):
-        self.eta2_elem = values
-
-
-def _approx_rows(f, mesh0, eps, theta_data, b, max_iter):
+def _approx_rows(f, mesh0, eps, theta_data, b, max_iter, max_dofs):
     mesh = mesh0
     rows = []
     for k in range(max_iter + 1):
@@ -302,21 +287,21 @@ def _approx_rows(f, mesh0, eps, theta_data, b, max_iter):
         row = {"k": k, "n_elem": mesh.n_elements, "n_flux_dofs": mesh.n_edges,
                "eta2": None, "osc2": osc2, "osc_f2": osc2, "n_marked": 0,
                "E2": None, "quasi_err": None, "secs": None, "phase": "approx"}
-        if np.sqrt(osc2) <= eps:
-            row["secs"] = time.perf_counter() - t0
-            rows.append(row)
-            return mesh, rows
-        ms = dorfler_mark(_OscSurface(osc2_elem), theta_data)
-        if ms.ids.size == 0:
-            row["secs"] = time.perf_counter() - t0
-            rows.append(row)
-            return mesh, rows
-        rr = refine(mesh, ms.ids, b=b)
-        row["n_marked"] = int(ms.ids.size)
-        row["secs"] = time.perf_counter() - t0
         rows.append(row)
+        rr = None
+        if np.sqrt(osc2) > eps and mesh.n_edges < max_dofs:
+            ms = dorfler_mark(osc2_elem, theta_data)
+            if ms.ids.size:
+                rr = refine(mesh, ms.ids, b=b)
+        # the budget is respected strictly, as in the adaptive loop: a
+        # refinement that overshoots it is dropped and the phase stops
+        if rr is not None and rr.mesh.n_edges <= max_dofs:
+            row["n_marked"] = int(ms.ids.size)
+        row["secs"] = time.perf_counter() - t0
+        if row["n_marked"] == 0:
+            return mesh, rows
         mesh = rr.mesh
-    raise RuntimeError(
+    raise DataApproxError(
         f"data approximation did not reach osc <= {eps} in {max_iter} steps")
 
 
@@ -326,21 +311,22 @@ def approx_data(f, mesh0, tol, theta_data=0.6, b=1, max_iter=200):
     Greedy bulk marking on the per-element oscillation contributions with
     parameter ``theta_data``.
     """
-    mesh, _ = _approx_rows(f, mesh0, tol, theta_data, b, max_iter)
+    mesh, _ = _approx_rows(f, mesh0, tol, theta_data, b, max_iter, np.inf)
     return mesh
 
 
 def two_step(problem, eps, theta=0.5, b=1, theta_data=0.6, max_dofs=100_000,
-             max_iter=100, gamma=1.0, solver="direct", keep=False):
+             max_iter=100, gamma=1.0, keep=False):
     """Data approximation followed by the adaptive loop, each with eps/2.
 
     The second phase solves with the projected data, whose oscillation
     vanishes on every refinement; errors are still measured against the
-    original problem when it has a closed-form solution.
+    original problem when it has a closed-form solution.  Both phases stay
+    within ``max_dofs`` flux dofs.
     """
     mesh0 = create_initial(problem.domain)
     mesh_h, rows1 = _approx_rows(problem.f, mesh0, 0.5 * eps, theta_data, b,
-                                 max_iter)
+                                 max_iter, max_dofs)
     if isinstance(problem.f, PwConstData):
         f_data = problem.f
     else:
@@ -349,7 +335,7 @@ def two_step(problem, eps, theta=0.5, b=1, theta_data=0.6, max_dofs=100_000,
     # the adaptive phase continues on the data-approximation mesh, where
     # the projected source is resolved exactly
     trace = amfem(mod, eps=0.5 * eps, theta=theta, b=b, max_dofs=max_dofs,
-                  max_iter=max_iter, gamma=gamma, solver=solver, keep=keep,
+                  max_iter=max_iter, gamma=gamma, keep=keep,
                   mesh0=mesh_h, errors_vs=problem)
     trace.meta.update({
         "problem": problem.name, "mode": "two_step", "eps": eps,
@@ -420,9 +406,6 @@ def contraction_scan(trace, gammas=DEFAULT_GAMMA_GRID, start=0):
     return best, table[best], table
 
 
-def make_reference(problem, mesh, levels=2, solver="direct"):
+def make_reference(problem, mesh, levels=REFERENCE_LEVELS):
     """Solve once on ``levels`` uniform refinements of ``mesh``."""
-    ref_mesh = uniform_refine(mesh, levels)
-    f_ref = project_f(problem.f, ref_mesh)
-    return solve(assemble(ref_mesh, build_dofmap(ref_mesh), problem, f_ref),
-                 f_ref, method=solver)
+    return solve_on(problem, uniform_refine(mesh, levels))

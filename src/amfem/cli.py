@@ -24,12 +24,13 @@ coefficients on the chosen initial mesh:
     f.I.J     global source term coefficient of x^I * y^J
     f.R.I.J   source polynomial coefficient on initial element R only
 
-Exit codes: 0 success, 2 configuration error, 3 solver or mesh failure,
-4 verification failure.  Failures print a single machine-parsable line
-``amfem: error=<kind> detail="..."`` on stderr.
+Exit codes: 0 success, 2 configuration error, 3 solver, mesh or
+data-approximation failure, 4 verification failure.  Failures print a
+single machine-parsable line ``amfem: error=<kind> detail="..."`` on
+stderr.
 
-All runs are deterministic for a fixed config and seed; trace CSV bytes
-are reproducible except for the wall-clock ``secs`` column.
+Runs have no randomness: they are deterministic for a fixed config, and
+trace CSV bytes are reproducible except for the wall-clock ``secs`` column.
 """
 
 import argparse
@@ -41,8 +42,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .adapt import (DEFAULT_GAMMA_GRID, amfem, contraction_scan, fit_rate,
-                    two_step)
+from .adapt import (DEFAULT_GAMMA_GRID, DataApproxError, amfem,
+                    contraction_scan, fit_rate, two_step)
 from .estimate import dump_indicators_csv
 from .fem import AssemblyError, SolverError, dump_solution_csv
 from .mesh import INITIAL_DOMAINS, MeshError
@@ -92,7 +93,6 @@ class RunConfig:
     gamma: float = 1.0
     gamma_grid: tuple = DEFAULT_GAMMA_GRID
     out: str = "amfem-out"
-    seed: int = 0
     coeffs: dict = field(default_factory=dict)
 
     def validate(self):
@@ -165,7 +165,7 @@ def _as_int(key, val):
 
 
 _FLOAT_KEYS = ("theta", "kappa", "eps", "gamma")
-_INT_KEYS = ("b", "max_dofs", "seed")
+_INT_KEYS = ("b", "max_dofs")
 _STR_KEYS = ("problem", "domain", "mode", "estimator", "out")
 
 
@@ -344,11 +344,10 @@ def make_custom_problem(coeffs, domain="unit_square"):
 def _run_trace(cfg, problem):
     if cfg.mode == "two_step":
         return two_step(problem, eps=cfg.eps, theta=cfg.theta, b=cfg.b,
-                        max_dofs=cfg.max_dofs, gamma=cfg.gamma, keep=True)
+                        max_dofs=cfg.max_dofs, gamma=cfg.gamma)
     return amfem(problem, eps=cfg.eps, theta=cfg.theta, b=cfg.b,
                  max_dofs=cfg.max_dofs, mode=cfg.mode,
-                 estimator=cfg.estimator, kappa=cfg.kappa, gamma=cfg.gamma,
-                 keep=True, seed=cfg.seed)
+                 estimator=cfg.estimator, kappa=cfg.kappa, gamma=cfg.gamma)
 
 
 def _summarize(cfg, trace):
@@ -366,7 +365,7 @@ def _summarize(cfg, trace):
         "problem": cfg.problem, "domain": cfg.domain, "mode": cfg.mode,
         "estimator": cfg.estimator, "theta": cfg.theta, "kappa": cfg.kappa,
         "b": cfg.b, "eps": cfg.eps, "max_dofs": cfg.max_dofs,
-        "gamma": cfg.gamma, "seed": cfg.seed,
+        "gamma": cfg.gamma,
         "iterations": len(trace.rows), "final": final,
         "rate": None, "rate_quantity": None, "contraction": None,
     }
@@ -392,7 +391,6 @@ def cmd_run(args):
         "problem": args.problem, "theta": args.theta, "kappa": args.kappa,
         "b": args.b, "eps": args.eps, "max_dofs": args.max_dofs,
         "mode": args.mode, "estimator": args.estimator, "out": args.out,
-        "seed": args.seed,
         "gamma_grid": (_parse_gamma_grid(args.gamma_grid)
                        if args.gamma_grid is not None else None),
     }
@@ -484,7 +482,6 @@ def _build_parser():
     r.add_argument("--gamma-grid", dest="gamma_grid",
                    help="comma-separated gammas for the contraction scan")
     r.add_argument("--out", help="output directory")
-    r.add_argument("--seed", type=int)
     r.set_defaults(func=cmd_run)
 
     v = sub.add_parser("verify", help="run the built-in verification suites")
@@ -504,6 +501,8 @@ def main(argv=None):
         return _fail(EXIT_CONFIG, "config", exc)
     except (SolverError, AssemblyError, MeshError) as exc:
         return _fail(EXIT_SOLVER, "solver", exc)
+    except DataApproxError as exc:
+        return _fail(EXIT_SOLVER, "data_approx", exc)
 
 
 if __name__ == "__main__":

@@ -59,7 +59,7 @@ from .util import ordered_sum
 
 __all__ = [
     "IndicatorReport", "OscReport", "indicators_stress", "indicators_full",
-    "oscillations", "tangential_jump", "dump_indicators_csv",
+    "oscillations", "data_osc_elem", "tangential_jump", "dump_indicators_csv",
 ]
 
 # relative pull of edge quadrature points toward the element centroid when
@@ -198,12 +198,21 @@ def _element_quadrature(mesh, field, problem):
     return pts, ainv
 
 
-def _data_term(mesh, problem, f_elem, pts, w):
-    """h_T^2 ||f - f_h||_T^2; exactly zero for mesh-attached constant data."""
-    if isinstance(problem.f, PwConstData):
+def data_osc_elem(f, mesh, f_elem=None, pts=None):
+    """Per-element squared data oscillation h_T^2 ||f - f_h||_T^2.
+
+    Exactly zero for mesh-attached constant data.  ``f_elem`` (the cellwise
+    means of f) and ``pts`` (the element points of the 6-point rule) are
+    computed when not given.
+    """
+    if isinstance(f, PwConstData):
         return np.zeros(mesh.n_elements)
-    fv = eval_f_on_elements(problem.f, mesh, pts)
-    return ((fv - f_elem[:, None]) ** 2 @ w) * mesh.areas ** 2
+    if f_elem is None:
+        f_elem = project_f(f, mesh)
+    if pts is None:
+        pts = tri_points(TRI_6, mesh.vertices[mesh.triangles])
+    fv = eval_f_on_elements(f, mesh, pts)
+    return ((fv - f_elem[:, None]) ** 2 @ TRI_6[1]) * mesh.areas ** 2
 
 
 def indicators_stress(mesh, sol_or_field, problem, f_elem=None):
@@ -214,7 +223,7 @@ def indicators_stress(mesh, sol_or_field, problem, f_elem=None):
     _, w = TRI_6
     pts, ainv = _element_quadrature(mesh, fld, problem)
 
-    data2 = _data_term(mesh, problem, f_elem, pts, w)
+    data2 = data_osc_elem(problem.f, mesh, f_elem, pts)
     cv = _curl_values(mesh, fld, problem, pts, ainv)
     curl2 = ((cv ** 2) @ w) * mesh.areas ** 2
     jumps = _edge_jumps(mesh, fld, problem, EDGE_3)
@@ -301,7 +310,7 @@ def oscillations(mesh, sol_or_field, problem, f_elem=None):
     _, w = TRI_6
     pts, ainv = _element_quadrature(mesh, fld, problem)
 
-    data_osc2 = _data_term(mesh, problem, f_elem, pts, w)
+    data_osc2 = data_osc_elem(problem.f, mesh, f_elem, pts)
 
     cv = _curl_values(mesh, fld, problem, pts, ainv)
     cres = _project_residual_elem(mesh, cv, pts, w)

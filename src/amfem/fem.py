@@ -51,17 +51,13 @@ class SolverError(RuntimeError):
 class DofMap:
     """Degrees of freedom of the mixed pair on one mesh.
 
-    Flux dof ids coincide with edge ids and displacement dof ids with
-    element ids; the map is kept explicit so downstream code never relies
-    on that accidentally.
+    Flux dof ids are edge ids and displacement dof ids are element ids.
     """
 
     def __init__(self, mesh):
         self.mesh = mesh
         self.n_flux = mesh.n_edges
         self.n_disp = mesh.n_elements
-        self.flux_of_edge = np.arange(mesh.n_edges, dtype=np.int64)
-        self.disp_of_elem = np.arange(mesh.n_elements, dtype=np.int64)
 
 
 def build_dofmap(mesh):
@@ -73,7 +69,9 @@ class PwConstData:
 
     Used as right-hand side data after projecting f onto a coarse mesh:
     on any refinement of the carrier the values are recovered exactly by
-    ancestor lookup, so the data oscillation vanishes identically.
+    ancestor lookup, so the data oscillation vanishes identically.  Only
+    the ancestor map of the last mesh queried is cached, so no earlier mesh
+    is kept alive.
     """
 
     def __init__(self, mesh, values):
@@ -81,18 +79,15 @@ class PwConstData:
         self.values = np.asarray(values, dtype=np.float64)
         if self.values.shape != (mesh.n_elements,):
             raise ValueError("one value per carrier element required")
-        self._amap_cache = {}
+        self._last = (None, None)
 
     def values_on(self, mesh):
         """Per-element values on ``mesh``, which must refine the carrier."""
         if mesh is self.mesh:
             return self.values
-        key = id(mesh)
-        hit = self._amap_cache.get(key)
-        if hit is None or hit[0] is not mesh:
-            hit = (mesh, ancestor_map(mesh, self.mesh))
-            self._amap_cache[key] = hit
-        return self.values[hit[1]]
+        if self._last[0] is not mesh:
+            self._last = (mesh, ancestor_map(mesh, self.mesh))
+        return self.values[self._last[1]]
 
 
 def eval_f_on_elements(f, mesh, pts):

@@ -35,7 +35,8 @@ from .mesh import ancestor_map
 from .quadrature import TRI_7, tri_points
 from .util import ordered_sum
 
-__all__ = ["ProblemSpec", "ErrorTriple", "builtin", "exact_errors", "BUILTIN_PROBLEMS"]
+__all__ = ["ProblemSpec", "ErrorTriple", "builtin", "exact_errors",
+           "flux_dist2", "BUILTIN_PROBLEMS"]
 
 
 @dataclass
@@ -233,17 +234,8 @@ def _errors_vs_exact(sol, problem):
 def _errors_vs_reference(sol, reference, problem):
     fine = reference.mesh
     amap = ancestor_map(fine, sol.mesh)
-    verts = fine.vertices[fine.triangles]
-    pts = tri_points(TRI_7, verts)
-    _, w = TRI_7
-    flat = pts.reshape(-1, 2)
-
-    coarse_field = sol.field.restrict_to(fine)
-    ids = np.arange(fine.n_elements)
-    perr = reference.field.eval(ids, pts) - coarse_field.eval(ids, pts)
-    ainv = np.asarray(problem.A_inv(flat)).reshape(pts.shape[0], pts.shape[1], 2, 2)
-    dens = np.einsum("tqa,tqab,tqb->tq", perr, ainv, perr)
-    flux2 = ordered_sum((dens @ w) * fine.areas)
+    flux2 = flux_dist2(problem, fine, reference.field,
+                       sol.field.restrict_to(fine))
 
     hH2 = sol.mesh.areas[amap]              # squared coarse weight |T_H|
     ddiff = reference.div - sol.div[amap]
@@ -252,3 +244,14 @@ def _errors_vs_reference(sol, reference, problem):
     udiff = reference.u - sol.u[amap]
     disp2 = ordered_sum(udiff ** 2 * fine.areas)
     return ErrorTriple(flux2=flux2, div2=div2, disp2=disp2, surrogate=True)
+
+
+def flux_dist2(problem, mesh, field_a, field_b):
+    """||A^(-1/2)(a - b)||^2 with both flux fields living on ``mesh``."""
+    pts = tri_points(TRI_7, mesh.vertices[mesh.triangles])
+    ids = np.arange(mesh.n_elements)
+    d = field_a.eval(ids, pts) - field_b.eval(ids, pts)
+    ainv = np.asarray(problem.A_inv(pts.reshape(-1, 2))).reshape(
+        pts.shape[0], pts.shape[1], 2, 2)
+    dens = np.einsum("tqa,tqab,tqb->tq", d, ainv, d)
+    return ordered_sum((dens @ TRI_7[1]) * mesh.areas)

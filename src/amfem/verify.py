@@ -17,13 +17,11 @@ from itertools import combinations
 
 import numpy as np
 
-from .adapt import amfem, dorfler_mark
+from .adapt import amfem, dorfler_mark, solve_on
 from .estimate import indicators_stress, oscillations
-from .fem import assemble, build_dofmap, project_f, solve
 from .mesh import (INITIAL_DOMAINS, ancestor_map, create_initial, overlay,
                    refine, uniform_refine)
-from .problems import builtin
-from .quadrature import TRI_7, tri_points
+from .problems import builtin, flux_dist2
 from .util import ordered_sum
 
 __all__ = ["CheckResult", "SUITE_NAMES", "run_suite", "run_many"]
@@ -127,11 +125,6 @@ def _suite_mesh(seed):
 # dorfler
 
 
-class _FakeReport:
-    def __init__(self, eta2_elem):
-        self.eta2_elem = np.asarray(eta2_elem, dtype=np.float64)
-
-
 def _brute_minimal_count(eta2, theta):
     order = np.argsort(-eta2, kind="stable")
     csum = np.cumsum(eta2[order])
@@ -156,7 +149,7 @@ def _suite_dorfler(seed):
             eta2[:] = 0.0
         for theta in (0.2, 0.5, 0.8, 1.0):
             trials += 1
-            ms = dorfler_mark(_FakeReport(eta2), theta)
+            ms = dorfler_mark(eta2, theta)
             want = _brute_minimal_count(eta2, theta)
             if ms.ids.size != want:
                 bad_card += 1
@@ -177,7 +170,7 @@ def _suite_dorfler(seed):
         eta2 = rng.lognormal(sigma=1.5, size=n)
         for theta in (0.3, 0.6, 0.9):
             small_trials += 1
-            ms = dorfler_mark(_FakeReport(eta2), theta)
+            ms = dorfler_mark(eta2, theta)
             k = ms.ids.size
             thr = theta * theta * float(np.sum(eta2))
             if k > 1:
@@ -192,28 +185,6 @@ def _suite_dorfler(seed):
 
 
 # ---------------------------------------------------------------------------
-# shared solving helpers
-
-
-def _solve_on(problem, mesh):
-    dm = build_dofmap(mesh)
-    f_elem = project_f(problem.f, mesh)
-    sys = assemble(mesh, dm, problem, f_elem)
-    return solve(sys, f_elem)
-
-
-def _flux_dist2(problem, fine, field_a, field_b):
-    """|| A^{-1/2}(a - b) ||^2 with both fields living on ``fine``."""
-    pts = tri_points(TRI_7, fine.vertices[fine.triangles])
-    elems = np.arange(fine.n_elements)
-    d = field_a.eval(elems, pts) - field_b.eval(elems, pts)
-    ainv = problem.A_inv(pts.reshape(-1, 2)).reshape(
-        pts.shape[0], pts.shape[1], 2, 2)
-    quad = np.einsum("tqi,tqij,tqj->tq", d, ainv, d)
-    return float(np.sum((quad @ TRI_7[1]) * fine.areas))
-
-
-# ---------------------------------------------------------------------------
 # pythagoras
 
 
@@ -225,14 +196,14 @@ def _suite_pythagoras(seed):
     coarse = uniform_refine(uniform_refine(create_initial(problem.domain)))
     mid = uniform_refine(coarse)
     ref = uniform_refine(mid)
-    s_coarse = _solve_on(problem, coarse)
-    s_mid = _solve_on(problem, mid)
-    s_ref = _solve_on(problem, ref)
+    s_coarse = solve_on(problem, coarse)
+    s_mid = solve_on(problem, mid)
+    s_ref = solve_on(problem, ref)
     pc = s_coarse.field.restrict_to(ref)
     pm = s_mid.field.restrict_to(ref)
-    lhs = _flux_dist2(problem, ref, s_ref.field, pc)
-    rhs = (_flux_dist2(problem, ref, s_ref.field, pm)
-           + _flux_dist2(problem, ref, pm, pc))
+    lhs = flux_dist2(problem, ref, s_ref.field, pc)
+    rhs = (flux_dist2(problem, ref, s_ref.field, pm)
+           + flux_dist2(problem, ref, pm, pc))
     defect = abs(lhs - rhs) / lhs
     osc = oscillations(coarse, s_coarse, problem)
     return [_result("pythagoras", "zero_data_oscillation", osc.osc_f2, 1e-28),
@@ -275,7 +246,7 @@ def _suite_oscillation(seed):
         problem = builtin(pname)
         mesh = uniform_refine(uniform_refine(create_initial(problem.domain)))
         for _ in range(2):
-            sol = _solve_on(problem, mesh)
+            sol = solve_on(problem, mesh)
             rep = indicators_stress(mesh, sol, problem)
             osc = oscillations(mesh, sol, problem)
             scale = float(np.max(rep.eta2_elem))
@@ -283,7 +254,7 @@ def _suite_oscillation(seed):
                          (osc.curl_osc2, rep.curl2),
                          (osc.jump_osc2, rep.jump2)):
                 worst = max(worst, float(np.max(o - e)) / scale)
-            mesh = refine(mesh, dorfler_mark(rep, 0.5).ids).mesh
+            mesh = refine(mesh, dorfler_mark(rep.eta2_elem, 0.5).ids).mesh
     return [_result("oscillation", "termwise_dominance", worst, 1e-13,
                     detail="max (osc2 - eta2) per element and term, relative")]
 
@@ -301,7 +272,7 @@ def _suite_upper_bound(seed):
         worst = 0.0
         for a, bb in zip(tr.states[:-1], tr.states[1:]):
             pc = a.sol.field.restrict_to(bb.mesh)
-            num = _flux_dist2(problem, bb.mesh, bb.sol.field, pc)
+            num = flux_dist2(problem, bb.mesh, bb.sol.field, pc)
             den = a.report.subset_sum(a.refined) + a.osc.osc_f2
             if den > 0.0:
                 worst = max(worst, num / den)

@@ -13,37 +13,13 @@ import numpy as np
 import pytest
 
 from amfem.adapt import (amfem, approx_data, contraction_scan, data_osc_elem,
-                         dorfler_mark, fit_rate)
+                         dorfler_mark, fit_rate, solve_on)
 from amfem.estimate import indicators_stress
-from amfem.fem import assemble, build_dofmap, project_f, solve
+from amfem.fem import project_f
 from amfem.mesh import (ancestor_map, create_initial, overlay, refine,
                         uniform_refine)
-from amfem.problems import builtin
-from amfem.quadrature import TRI_7, tri_points
+from amfem.problems import builtin, flux_dist2
 from amfem.util import ordered_sum
-
-
-class Report:
-    """Indicator stand-in: dorfler_mark only reads eta2_elem."""
-
-    def __init__(self, eta2_elem):
-        self.eta2_elem = np.asarray(eta2_elem, dtype=np.float64)
-
-
-def solve_on(problem, mesh):
-    f_elem = project_f(problem.f, mesh)
-    return solve(assemble(mesh, build_dofmap(mesh), problem, f_elem), f_elem)
-
-
-def flux_dist2(problem, mesh, field_a, field_b):
-    """|| A^(-1/2)(a - b) ||^2 with both fields living on ``mesh``."""
-    pts = tri_points(TRI_7, mesh.vertices[mesh.triangles])
-    elems = np.arange(mesh.n_elements)
-    d = field_a.eval(elems, pts) - field_b.eval(elems, pts)
-    ainv = problem.A_inv(pts.reshape(-1, 2)).reshape(
-        pts.shape[0], pts.shape[1], 2, 2)
-    quad = np.einsum("tqi,tqij,tqj->tq", d, ainv, d)
-    return float(np.sum((quad @ TRI_7[1]) * mesh.areas))
 
 
 # ---------------------------------------------------------------------------
@@ -105,7 +81,8 @@ def pythagoras_triple():
     problem = builtin("square_pwconst")
     coarse = uniform_refine(create_initial(problem.domain), 2)
     s_coarse = solve_on(problem, coarse)
-    ms = dorfler_mark(indicators_stress(coarse, s_coarse, problem), 0.5)
+    ms = dorfler_mark(indicators_stress(coarse, s_coarse, problem).eta2_elem,
+                      0.5)
     mid = refine(coarse, ms.ids, b=1).mesh
     s_mid = solve_on(problem, mid)
     ref = uniform_refine(mid, 2)
@@ -194,7 +171,7 @@ def test_bulk_marking_minimal_cardinality():
         if n >= 4 and rng.random() < 0.3:
             vals[1] = vals[0]  # force ties
         theta = float(rng.uniform(0.15, 0.95))
-        ms = dorfler_mark(Report(vals), theta)
+        ms = dorfler_mark(vals, theta)
         target = theta * theta * vals.sum()
         best = min(m for m in range(1, n + 1)
                    if any(vals[list(c)].sum() >= target - 1e-12

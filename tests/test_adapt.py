@@ -14,42 +14,35 @@ from amfem.problems import builtin
 from amfem.util import ordered_sum
 
 
-class Report:
-    """Indicator stand-in: dorfler_mark only reads eta2_elem."""
-
-    def __init__(self, eta2_elem):
-        self.eta2_elem = np.asarray(eta2_elem, dtype=np.float64)
-
-
 # ---------------------------------------------------------------------------
 # bulk marking
 
 
 def test_dorfler_hand_cases():
-    ms = dorfler_mark(Report([4.0, 3.0, 2.0, 1.0]), 0.5)
+    ms = dorfler_mark([4.0, 3.0, 2.0, 1.0], 0.5)
     assert ms.ids.tolist() == [0]
     assert ms.marked_sum == 4.0
     assert ms.total_sum == 10.0
     assert not ms.all_zero
 
-    ms = dorfler_mark(Report([4.0, 3.0, 2.0, 1.0]), 0.8)
+    ms = dorfler_mark([4.0, 3.0, 2.0, 1.0], 0.8)
     assert ms.ids.tolist() == [0, 1]
     assert ms.marked_sum == 7.0
 
-    ms = dorfler_mark(Report([4.0, 3.0, 2.0, 1.0]), 1.0)
+    ms = dorfler_mark([4.0, 3.0, 2.0, 1.0], 1.0)
     assert ms.ids.tolist() == [0, 1, 2, 3]
 
 
 def test_dorfler_tie_break_lowest_id():
-    ms = dorfler_mark(Report([1.0, 1.0, 1.0, 1.0]), 0.5)
+    ms = dorfler_mark([1.0, 1.0, 1.0, 1.0], 0.5)
     assert ms.ids.tolist() == [0]
     # a later duplicate of the max never displaces an earlier one
-    ms = dorfler_mark(Report([2.0, 3.0, 3.0]), 0.6)
+    ms = dorfler_mark([2.0, 3.0, 3.0], 0.6)
     assert ms.ranked.tolist()[0] == 1
 
 
 def test_dorfler_all_zero_report():
-    ms = dorfler_mark(Report([0.0, 0.0]), 0.7)
+    ms = dorfler_mark([0.0, 0.0], 0.7)
     assert ms.all_zero
     assert ms.ids.size == 0
     assert ms.marked_sum == 0.0
@@ -57,9 +50,9 @@ def test_dorfler_all_zero_report():
 
 def test_dorfler_theta_validation():
     with pytest.raises(ValueError):
-        dorfler_mark(Report([1.0]), 0.0)
+        dorfler_mark([1.0], 0.0)
     with pytest.raises(ValueError):
-        dorfler_mark(Report([1.0]), 1.2)
+        dorfler_mark([1.0], 1.2)
 
 
 def test_dorfler_bulk_and_minimality_random():
@@ -68,7 +61,7 @@ def test_dorfler_bulk_and_minimality_random():
         n = int(rng.integers(1, 40))
         eta2 = rng.lognormal(sigma=2.0, size=n)
         theta = float(rng.uniform(0.05, 1.0))
-        ms = dorfler_mark(Report(eta2), theta)
+        ms = dorfler_mark(eta2, theta)
         thr = theta * theta * float(np.sum(eta2))
         assert ms.marked_sum >= thr - 1e-12 * ms.total_sum
         # dropping the weakest marked element must break the criterion
@@ -83,7 +76,7 @@ def test_dorfler_exhaustive_small_reports():
         n = int(rng.integers(2, 10))
         eta2 = rng.lognormal(size=n)
         theta = float(rng.uniform(0.2, 0.95))
-        ms = dorfler_mark(Report(eta2), theta)
+        ms = dorfler_mark(eta2, theta)
         thr = theta * theta * float(np.sum(eta2))
         k = ms.ids.size
         for r in range(k):
@@ -97,7 +90,7 @@ def test_dorfler_theta_prefix_property():
     eta2 = rng.lognormal(sigma=1.5, size=50)
     prev = []
     for theta in (0.2, 0.4, 0.6, 0.8, 1.0):
-        ranked = dorfler_mark(Report(eta2), theta).ranked.tolist()
+        ranked = dorfler_mark(eta2, theta).ranked.tolist()
         assert ranked[:len(prev)] == prev
         prev = ranked
 
@@ -120,6 +113,17 @@ def test_amfem_loop_soundness():
     assert len(trace.states) == len(trace.rows)
     for r, st in zip(trace.rows, trace.states):
         assert r["n_elem"] == st.mesh.n_elements
+
+
+def test_amfem_keeps_only_final_state_by_default():
+    for errors in ("auto", "reference"):
+        trace = amfem(builtin("square_pwconst"), theta=0.5, max_dofs=300,
+                      errors=errors)
+        assert len(trace.rows) >= 3
+        assert len(trace.states) == 1
+        assert trace.states[0].mesh.n_elements == trace.rows[-1]["n_elem"]
+    # the reference backfill still reached every row
+    assert all(r["surrogate"] for r in trace.rows)
 
 
 def test_amfem_eps_stop():

@@ -1,5 +1,6 @@
 """Tests for the command line interface: artifacts, exit codes, config."""
 
+import functools
 import json
 
 import pytest
@@ -38,12 +39,17 @@ def test_run_writes_all_artifacts(tmp_path):
     assert header.split(",")[:3] == ["k", "n_elem", "n_flux_dofs"]
 
 
-def test_run_deterministic_modulo_secs(tmp_path):
+@pytest.mark.parametrize("mode_args", [
+    (),
+    ("--mode", "two_step", "--eps", "0.05"),
+], ids=["adaptive", "two_step"])
+def test_run_deterministic_modulo_secs(mode_args, tmp_path):
     outs = []
     for tag in ("a", "b"):
         out = tmp_path / tag
         assert run_cli("run", "--problem", "square_pwconst",
-                       "--max-dofs", "400", "--out", str(out)) == 0
+                       "--max-dofs", "400", "--out", str(out),
+                       *mode_args) == 0
         outs.append(out)
     a, b = outs
     for name in ARTIFACTS:
@@ -64,6 +70,16 @@ def test_run_uniform_mode(tmp_path):
                    "--max-dofs", "300", "--out", str(out)) == 0
     summary = json.loads((out / "summary.json").read_text())
     assert summary["mode"] == "uniform"
+
+
+def test_run_two_step_honours_max_dofs(tmp_path):
+    out = tmp_path / "t"
+    assert run_cli("run", "--problem", "square_sine", "--mode", "two_step",
+                   "--eps", "1e-3", "--max-dofs", "2000",
+                   "--out", str(out)) == 0
+    rows = (out / "trace.csv").read_text().splitlines()[1:]
+    assert len(rows) >= 2
+    assert max(int(r.split(",")[2]) for r in rows) <= 2000
 
 
 def test_config_file_with_flag_override(tmp_path):
@@ -106,6 +122,7 @@ def test_custom_problem_run(tmp_path):
     ("run", "--mode", "two_step"),        # needs a positive eps
     ("run", "--gamma-grid", "a,b"),
     ("run", "--bogus-flag",),
+    ("run", "--seed", "3"),               # runs have no seed
     ("verify", "no_such_suite"),
 ])
 def test_bad_invocations_exit_2(argv, capsys):
@@ -122,6 +139,7 @@ def test_bad_invocations_exit_2(argv, capsys):
     "a.7 = 1.0\nproblem = custom\n",      # region out of range
     "f.0 = 1.0\nproblem = custom\n",      # malformed source key
     "a.0 = 2.0\n",                        # coeffs need problem = custom
+    "seed = 1\n",                         # runs have no seed
 ])
 def test_bad_config_files_exit_2(text, tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
@@ -157,6 +175,18 @@ def test_solver_error_exits_3(tmp_path, monkeypatch, capsys):
     assert code == 3
     err = capsys.readouterr().err
     assert err == 'amfem: error=solver detail="saddle solve diverged"\n'
+
+
+def test_data_approx_error_exits_3(tmp_path, monkeypatch, capsys):
+    # two data-approximation steps cannot reach osc <= 5e-6 for the sine
+    monkeypatch.setattr(cli, "two_step",
+                        functools.partial(cli.two_step, max_iter=1))
+    code = run_cli("run", "--problem", "square_sine", "--mode", "two_step",
+                   "--eps", "1e-5", "--out", str(tmp_path / "out"))
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("amfem: error=data_approx detail=")
+    assert err.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------

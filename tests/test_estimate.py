@@ -6,7 +6,8 @@ import pytest
 import amfem.quadrature as quad
 from amfem.estimate import (indicators_full, indicators_stress, oscillations,
                             tangential_jump)
-from amfem.fem import (FluxField, assemble, build_dofmap, project_f, solve)
+from amfem.adapt import solve_on
+from amfem.fem import FluxField
 from amfem.mesh import create_initial, uniform_refine
 from amfem.problems import ProblemSpec, builtin
 
@@ -19,12 +20,6 @@ def identity_A(x):
 def make_problem(f, name="synthetic", **kw):
     return ProblemSpec(name=name, domain="unit_square", A=identity_A,
                        A_inv=identity_A, f=f, **kw)
-
-
-def solve_on(problem, mesh):
-    dm = build_dofmap(mesh)
-    fe = project_f(problem.f, mesh)
-    return solve(assemble(mesh, dm, problem, fe), fe)
 
 
 def zero_field(mesh):

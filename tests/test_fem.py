@@ -1,13 +1,17 @@
 """Mixed RT0/P0 assembly and solve: dof bookkeeping, exactness, symmetry."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 import amfem.quadrature as quad
+from amfem.adapt import solve_on
 from amfem.fem import (FluxField, MixedSolution, PwConstData, SolverError,
                        assemble, build_dofmap, project_f, rt0_interpolate,
                        solve)
-from amfem.mesh import create_initial, refine, uniform_refine
+from amfem.mesh import ancestor_map, create_initial, refine, uniform_refine
 from amfem.problems import ProblemSpec, builtin, exact_errors
 
 
@@ -20,12 +24,6 @@ def const_problem(fval=1.0, name="const"):
     return ProblemSpec(name=name, domain="unit_square", A=identity_A,
                        A_inv=identity_A,
                        f=lambda x: np.full(np.atleast_2d(x).shape[0], fval))
-
-
-def solve_on(problem, mesh, method="direct"):
-    dm = build_dofmap(mesh)
-    fe = project_f(problem.f, mesh)
-    return solve(assemble(mesh, dm, problem, fe), fe, method=method)
 
 
 def edge_id(mesh, va, vb):
@@ -72,6 +70,28 @@ def test_pwconst_data_values_on_descendants():
     assert np.allclose(vals, np.where(fine.root_elem == 0, 3.0, -1.0))
     fe = project_f(data, fine)
     assert np.allclose(fe, vals)
+
+
+def test_pwconst_data_caches_only_the_last_mesh(monkeypatch):
+    import amfem.fem as fem
+    calls = []
+    monkeypatch.setattr(fem, "ancestor_map",
+                        lambda fine, coarse: calls.append(fine.n_elements)
+                        or ancestor_map(fine, coarse))
+    m = create_initial("unit_square")
+    data = PwConstData(m, np.array([3.0, -1.0]))
+    first = uniform_refine(m, 1)
+    data.values_on(first)
+    data.values_on(first)
+    assert len(calls) == 1                  # a repeated query is cached
+    dead = weakref.ref(first)
+    del first
+    newer = uniform_refine(m, 2)
+    vals = data.values_on(newer)
+    assert calls == [4, 8]
+    assert np.allclose(vals, np.where(newer.root_elem == 0, 3.0, -1.0))
+    gc.collect()
+    assert dead() is None                   # the earlier mesh is released
 
 
 # ---------------------------------------------------------------------------
@@ -140,8 +160,9 @@ def test_residual_contract():
 def test_schur_matches_direct():
     p = builtin("square_sine")
     m = uniform_refine(create_initial("unit_square"), 3)
-    a = solve_on(p, m, method="direct")
-    b = solve_on(p, m, method="schur")
+    fe = project_f(p.f, m)
+    a = solve_on(p, m)
+    b = solve(assemble(m, build_dofmap(m), p, fe), fe, method="schur")
     assert np.allclose(b.p, a.p, atol=1e-10 * (1 + np.abs(a.p).max()))
     assert np.allclose(b.u, a.u, atol=1e-10 * (1 + np.abs(a.u).max()))
 

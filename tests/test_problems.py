@@ -1,21 +1,18 @@
 """Benchmark problem data: exactness of the closed-form pairs and errors."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import amfem.quadrature as quad
-from amfem.adapt import data_osc_elem
+from amfem.adapt import data_osc_elem, solve_on
 from amfem.estimate import oscillations
-from amfem.fem import PwConstData, assemble, build_dofmap, project_f, solve
+from amfem.fem import PwConstData, project_f
 from amfem.mesh import Mesh, create_initial, uniform_refine
-from amfem.problems import BUILTIN_PROBLEMS, ProblemSpec, builtin, exact_errors
+from amfem.problems import (BUILTIN_PROBLEMS, ProblemSpec, builtin,
+                            exact_errors, flux_dist2)
 from amfem.util import ordered_sum
-
-
-def solve_on(problem, mesh):
-    dm = build_dofmap(mesh)
-    fe = project_f(problem.f, mesh)
-    return solve(assemble(mesh, dm, problem, fe), fe)
 
 
 def identity_A(x):
@@ -261,13 +258,8 @@ def test_stability_of_data_projection():
         fine = uniform_refine(coarse, 2)
         sol_f = solve_on(prob, fine)
         fH = PwConstData(coarse, project_f(prob.f, coarse))
-        feH = project_f(fH, fine)
-        sol_H = solve(assemble(fine, build_dofmap(fine), prob, feH), feH)
-        pts = quad.tri_points(quad.TRI_7, fine.vertices[fine.triangles])
-        el = np.arange(fine.n_elements)
-        d = sol_f.field.eval(el, pts) - sol_H.field.eval(el, pts)
-        dist = np.sqrt(np.sum((np.einsum("tqd,tqd->tq", d, d)
-                               @ quad.TRI_7[1]) * fine.areas))
+        sol_H = solve_on(replace(prob, f=fH), fine)
+        dist = np.sqrt(flux_dist2(prob, fine, sol_f.field, sol_H.field))
         osc = np.sqrt(ordered_sum(data_osc_elem(prob.f, coarse)))
         assert dist <= 1.0 * osc
 
