@@ -8,12 +8,18 @@ A mesh stores, besides coordinates and connectivity,
         edge.  Bisecting an element splits that edge at its midpoint ``m``
         and produces the children ``(m, v0, v1)`` and ``(m, v2, v0)``, both
         again peak-first and with the same orientation as the parent.
-    root_elem, paths
+    root_elem, node
         Genealogy relative to the initial mesh: every element knows its
-        ancestor in the root mesh and the sequence of child slots (0/1)
-        taken to reach it.  Two meshes refined from the same root can be
-        compared element-by-element through these identifiers, which is
-        what the overlay and the coarse-to-fine field transfers rely on.
+        ancestor in the root mesh and its node in that root element's
+        bisection tree, numbered heap-style: the root element is node 1 and
+        child slot s (0/1) of node n is node 2n + s.  The generation is the
+        bit length of the node minus one, and the ancestor k levels up is
+        ``node >> k``.  Two meshes refined from the same root are compared
+        element by element through the int64 key ``(node << s) | root_elem``,
+        s being the bit length of the root's element count; the overlay and
+        the coarse-to-fine field transfers rely on it.  A bisection whose key
+        would not fit in int64 raises MeshError, which allows generations up
+        to 62 - s (58 on the checkerboard, 60 on the unit square).
 
 Conformity is maintained by edge marking: the refinement edges of all
 marked elements are collected, then any element that sees a marked edge
@@ -27,7 +33,7 @@ endpoint indices: the tangent points from the lower to the higher index,
 and the normal is the tangent rotated by -90 degrees.
 """
 
-from collections import deque
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,8 +70,8 @@ class RefineResult:
 
 
 class Mesh:
-    def __init__(self, vertices, triangles, generation=None, root=None,
-                 root_elem=None, paths=None, validate=True):
+    def __init__(self, vertices, triangles, root=None, root_elem=None,
+                 node=None, validate=True):
         self.vertices = np.ascontiguousarray(vertices, dtype=np.float64)
         self.triangles = np.ascontiguousarray(triangles, dtype=np.int64)
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 2:
@@ -73,29 +79,38 @@ class Mesh:
         if self.triangles.ndim != 2 or self.triangles.shape[1] != 3:
             raise MeshError("triangles must have shape (nt, 3)")
         nt = self.triangles.shape[0]
-        if generation is None:
-            generation = np.zeros(nt, dtype=np.int64)
-        self.generation = np.asarray(generation, dtype=np.int64)
-        if root_elem is None:
-            root_elem = np.arange(nt, dtype=np.int64)
-        self.root_elem = np.asarray(root_elem, dtype=np.int64)
-        self.paths = list(paths) if paths is not None else [()] * nt
-        if root is not None:
-            self.root = root
-        elif all(len(p) == 0 for p in self.paths):
-            self.root = self
-        else:
-            # e.g. deserialized without its root mesh: genealogy labels are
-            # kept but overlay/ancestor queries are unavailable
-            self.root = None
-        if len(self.paths) != nt or self.root_elem.shape[0] != nt:
+        if nt and (self.triangles.min() < 0
+                   or self.triangles.max() >= self.n_vertices):
+            raise MeshError("vertex index out of range")
+        self.root_elem = np.asarray(
+            np.arange(nt) if root_elem is None else root_elem, dtype=np.int64)
+        self.node = np.asarray(np.ones(nt) if node is None else node,
+                               dtype=np.int64)
+        if self.root_elem.shape != (nt,) or self.node.shape != (nt,):
             raise MeshError("genealogy arrays do not match the element count")
+        # without a root, a mesh of root nodes is its own root; otherwise
+        # (e.g. deserialized alone) labels are kept but overlay/ancestor
+        # queries are unavailable
+        if root is None and np.all(self.node == 1):
+            root = self
+        self.root = root
+        n_roots = (root.n_elements if root is not None
+                   else int(self.root_elem.max(initial=-1)) + 1)
+        self._node_limit = 1 << (63 - n_roots.bit_length())
+        if nt and (self.root_elem.min() < 0 or self.root_elem.max() >= n_roots
+                   or self.node.min() < 1
+                   or self.node.max() >= self._node_limit):
+            raise MeshError("genealogy label out of range")
+        # bit length minus one; the shift corrects float rounding up near 2^k
+        gen = np.frexp(self.node.astype(np.float64))[1].astype(np.int64) - 1
+        self.generation = gen - ((self.node >> gen) == 0)
 
         self._build_edges()
         self._areas = None
         if validate:
             self._audit()
-        for a in (self.vertices, self.triangles, self.generation, self.root_elem):
+        for a in (self.vertices, self.triangles, self.generation,
+                  self.root_elem, self.node):
             a.flags.writeable = False
 
     # -- basic counts ------------------------------------------------------
@@ -242,8 +257,8 @@ class Mesh:
     # -- genealogy ---------------------------------------------------------
 
     def identities(self):
-        """Per-element (root element, bisection path) pairs."""
-        return [(int(r), p) for r, p in zip(self.root_elem, self.paths)]
+        """Per-element (root element, bisection-tree node) pairs."""
+        return list(zip(self.root_elem.tolist(), self.node.tolist()))
 
     def same_root_as(self, other):
         if self.root is None or other.root is None:
@@ -261,41 +276,41 @@ class Mesh:
         for x, y in self.vertices:
             lines.append(f"{float(x)!r} {float(y)!r}")
         lines.append(str(self.n_elements))
-        for t in range(self.n_elements):
-            v0, v1, v2 = self.triangles[t]
-            bits = "".join(str(s) for s in self.paths[t])
-            label = f"r{self.root_elem[t]}p{bits}"
-            lines.append(f"{v0} {v1} {v2} {label} {self.generation[t]}")
+        for (v0, v1, v2), r, n, g in zip(
+                self.triangles.tolist(), self.root_elem.tolist(),
+                self.node.tolist(), self.generation.tolist()):
+            lines.append(f"{v0} {v1} {v2} r{r}p{bin(n)[3:]} {g}")
         return "\n".join(lines) + "\n"
 
     @classmethod
     def loads(cls, text, root=None):
+        """Parse :meth:`dumps` output; malformed text raises :class:`MeshError`."""
         lines = text.strip().split("\n")
-        if not lines or lines[0].strip() != "amfem-mesh v1":
+        if lines[0].strip() != "amfem-mesh v1":
             raise MeshError("not an amfem-mesh v1 file")
-        pos = 1
-        nv = int(lines[pos]); pos += 1
-        verts = np.empty((nv, 2))
-        for i in range(nv):
-            xs, ys = lines[pos].split(); pos += 1
-            verts[i] = (float(xs), float(ys))
-        nt = int(lines[pos]); pos += 1
-        tris = np.empty((nt, 3), dtype=np.int64)
-        gens = np.empty(nt, dtype=np.int64)
-        roote = np.empty(nt, dtype=np.int64)
-        paths = []
-        for t in range(nt):
-            f = lines[pos].split(); pos += 1
-            tris[t] = (int(f[0]), int(f[1]), int(f[2]))
-            label = f[3]
-            if not label.startswith("r") or "p" not in label:
-                raise MeshError(f"bad genealogy label {label!r}")
-            rpart, bits = label[1:].split("p", 1)
-            roote[t] = int(rpart)
-            paths.append(tuple(int(c) for c in bits))
-            gens[t] = int(f[4])
-        return cls(verts, tris, generation=gens, root=root,
-                   root_elem=roote, paths=paths)
+        try:
+            nv = int(lines[1])
+            nt = int(lines[2 + nv]) if nv >= 0 else -1
+            if nt < 0 or len(lines) != 3 + nv + nt:
+                raise ValueError("counts do not match the number of lines")
+            verts = np.array([[float(c) for c in ln.split()]
+                              for ln in lines[2:2 + nv]]).reshape(nv, 2)
+            rows = [ln.split() for ln in lines[3 + nv:]]
+            tris = np.array([[int(c) for c in f[:3]] for f in rows],
+                            dtype=np.int64).reshape(nt, 3)
+            roote, node = [], []
+            for f in rows:
+                label = re.fullmatch(r"r(\d+)p([01]*)", f[3])
+                if label is None or len(f) != 5 \
+                        or int(f[4]) != len(label[2]):
+                    raise ValueError(f"bad genealogy label {' '.join(f[3:])!r}")
+                roote.append(int(label[1]))
+                node.append(int("1" + label[2], 2))
+            roote = np.array(roote, dtype=np.int64)
+            node = np.array(node, dtype=np.int64)
+        except (IndexError, ValueError, OverflowError) as exc:
+            raise MeshError(f"malformed amfem-mesh v1 text: {exc}") from None
+        return cls(verts, tris, root=root, root_elem=roote, node=node)
 
     def save(self, path):
         with open(path, "w") as fh:
@@ -375,9 +390,12 @@ def create_initial(domain):
 # -- refinement ------------------------------------------------------------
 
 def _bisect_level(mesh, marked_ids):
-    """One conforming bisection pass: every listed element is split at least once."""
+    """One conforming bisection pass: every listed element is split at least once.
+
+    Returns the new mesh and, per new element, the index of the element of
+    ``mesh`` it is or was split from.
+    """
     tri = mesh.triangles
-    nt = tri.shape[0]
     ref_edge = mesh.tri_edges[:, 0]
 
     marked_edges = np.zeros(mesh.n_edges, dtype=bool)
@@ -398,67 +416,56 @@ def _bisect_level(mesh, marked_ids):
                 marked_edges[re] = True
                 stack.append(re)
 
+    # children lie one level deeper, two where a second edge is split too
+    marked_local = marked_edges[mesh.tri_edges]
+    deeper = 1 + (marked_local[:, 1] | marked_local[:, 2])
+    if np.any(marked_local[:, 0] & (mesh.node >= mesh._node_limit >> deeper)):
+        raise MeshError("bisection depth limit: node keys would overflow int64")
+
     marked_list = np.flatnonzero(marked_edges)
-    mid_id = {}
-    new_verts = [mesh.vertices]
+    mid_id = np.full(mesh.n_edges, -1, dtype=np.int64)
+    mid_id[marked_list] = mesh.n_vertices + np.arange(marked_list.size)
     mids = 0.5 * (mesh.vertices[mesh.edges[marked_list, 0]]
                   + mesh.vertices[mesh.edges[marked_list, 1]])
-    for k, e in enumerate(marked_list):
-        mid_id[int(e)] = mesh.n_vertices + k
-    new_verts.append(mids)
-    verts = np.vstack(new_verts) if len(marked_list) else mesh.vertices.copy()
+    verts = np.vstack([mesh.vertices, mids])
 
-    out_tris, out_gen, out_root, out_paths = [], [], [], []
-    refined = []
-    tri_edges = mesh.tri_edges
-    gens = mesh.generation
-    roote = mesh.root_elem
-    paths = mesh.paths
-    for t in range(nt):
-        e0, e1, e2 = tri_edges[t]
+    out_tris, out_node, parent = [], [], []
+    for t, ((v0, v1, v2), (e0, e1, e2), n) in enumerate(zip(
+            tri.tolist(), mesh.tri_edges.tolist(), mesh.node.tolist())):
         if not marked_edges[e0]:
             if marked_edges[e1] or marked_edges[e2]:
                 raise MeshError("closure invariant violated")
-            out_tris.append(tri[t])
-            out_gen.append(gens[t])
-            out_root.append(roote[t])
-            out_paths.append(paths[t])
+            out_tris.append((v0, v1, v2))
+            out_node.append(n)
+            parent.append(t)
             continue
-        refined.append(t)
-        v0, v1, v2 = tri[t]
-        m0 = mid_id[int(e0)]
-        g, r, p = gens[t], roote[t], paths[t]
+        m0 = mid_id[e0]
         # child 0 = (m0, v0, v1) owns parent edge (v0, v1) = local edge 2
         if marked_edges[e2]:
-            m2 = mid_id[int(e2)]
+            m2 = mid_id[e2]
             out_tris.extend([(m2, m0, v0), (m2, v1, m0)])
-            out_gen.extend([g + 2, g + 2])
-            out_root.extend([r, r])
-            out_paths.extend([p + (0, 0), p + (0, 1)])
+            out_node.extend([4 * n, 4 * n + 1])
+            parent.extend([t, t])
         else:
             out_tris.append((m0, v0, v1))
-            out_gen.append(g + 1)
-            out_root.append(r)
-            out_paths.append(p + (0,))
+            out_node.append(2 * n)
+            parent.append(t)
         # child 1 = (m0, v2, v0) owns parent edge (v2, v0) = local edge 1
         if marked_edges[e1]:
-            m1 = mid_id[int(e1)]
+            m1 = mid_id[e1]
             out_tris.extend([(m1, m0, v2), (m1, v0, m0)])
-            out_gen.extend([g + 2, g + 2])
-            out_root.extend([r, r])
-            out_paths.extend([p + (1, 0), p + (1, 1)])
+            out_node.extend([4 * n + 2, 4 * n + 3])
+            parent.extend([t, t])
         else:
             out_tris.append((m0, v2, v0))
-            out_gen.append(g + 1)
-            out_root.append(r)
-            out_paths.append(p + (1,))
+            out_node.append(2 * n + 1)
+            parent.append(t)
 
-    new_mesh = Mesh(verts, np.array(out_tris, dtype=np.int64),
-                    generation=np.array(out_gen, dtype=np.int64),
-                    root=mesh.root,
-                    root_elem=np.array(out_root, dtype=np.int64),
-                    paths=out_paths, validate=False)
-    return new_mesh, refined
+    parent = np.array(parent, dtype=np.int64)
+    new_mesh = Mesh(verts, np.array(out_tris, dtype=np.int64), root=mesh.root,
+                    root_elem=mesh.root_elem[parent],
+                    node=np.array(out_node, dtype=np.int64), validate=False)
+    return new_mesh, parent
 
 
 def refine(mesh, marked, b=1):
@@ -472,34 +479,17 @@ def refine(mesh, marked, b=1):
         raise MeshError("marked element id out of range")
     if b < 1:
         raise MeshError("bisection count b must be >= 1")
-    if marked.size == 0:
-        return RefineResult(mesh=mesh, refined=np.empty(0, dtype=np.int64),
-                            marked=marked)
 
-    counts = {int(t): b for t in marked}
+    # per current element: bisections still owed, and its input-mesh origin
+    counts = np.zeros(mesh.n_elements, dtype=np.int64)
+    counts[marked] = b
+    origin = np.arange(mesh.n_elements)
     current = mesh
-    while counts:
-        level_ids = sorted(counts)
-        new_mesh, _ = _bisect_level(current, level_ids)
-        old_index = {(int(r), p): i
-                     for i, (r, p) in enumerate(zip(current.root_elem, current.paths))}
-        new_counts = {}
-        for i, (r, p) in enumerate(zip(new_mesh.root_elem, new_mesh.paths)):
-            key = (int(r), p)
-            if key in old_index:
-                continue  # carried over unchanged
-            parent = old_index.get((key[0], p[:-1]), old_index.get((key[0], p[:-2])))
-            c = counts.get(parent, 0) - 1
-            if c > 0:
-                new_counts[i] = c
-        counts = new_counts
-        current = new_mesh
-
-    final_ids = set((int(r), p) for r, p in zip(current.root_elem, current.paths))
-    refined = np.array(
-        [i for i, (r, p) in enumerate(zip(mesh.root_elem, mesh.paths))
-         if (int(r), p) not in final_ids],
-        dtype=np.int64)
+    while counts.any():
+        current, parent = _bisect_level(current, np.flatnonzero(counts))
+        counts = np.maximum(counts[parent] - 1, 0)
+        origin = origin[parent]
+    refined = np.unique(origin[current.node != mesh.node[origin]])
     return RefineResult(mesh=current, refined=refined, marked=marked)
 
 
@@ -512,44 +502,9 @@ def uniform_refine(mesh, levels=1):
 
 # -- overlay ---------------------------------------------------------------
 
-def _replay(root, internal):
-    """Rebuild the mesh whose bisection forest has the given internal nodes."""
-    verts = [tuple(v) for v in root.vertices]
-    mid_of = {}
-
-    def midpoint(a, b):
-        key = (a, b) if a < b else (b, a)
-        m = mid_of.get(key)
-        if m is None:
-            xa, ya = verts[a]
-            xb, yb = verts[b]
-            m = len(verts)
-            verts.append((0.5 * (xa + xb), 0.5 * (ya + yb)))
-            mid_of[key] = m
-        return m
-
-    out_tris, out_gen, out_root, out_paths = [], [], [], []
-    queue = deque()
-    for r in range(root.n_elements):
-        v0, v1, v2 = (int(v) for v in root.triangles[r])
-        queue.append((v0, v1, v2, r, (), int(root.generation[r])))
-    while queue:
-        v0, v1, v2, r, path, gen = queue.popleft()
-        if (r, path) in internal:
-            m = midpoint(v1, v2)
-            queue.append((m, v0, v1, r, path + (0,), gen + 1))
-            queue.append((m, v2, v0, r, path + (1,), gen + 1))
-        else:
-            out_tris.append((v0, v1, v2))
-            out_gen.append(gen)
-            out_root.append(r)
-            out_paths.append(path)
-
-    return Mesh(np.array(verts), np.array(out_tris, dtype=np.int64),
-                generation=np.array(out_gen, dtype=np.int64),
-                root=root,
-                root_elem=np.array(out_root, dtype=np.int64),
-                paths=out_paths)
+def _key(mesh, node, root_elem):
+    """Sortable int64 identity of ``(root_elem, node)`` under ``mesh.root``."""
+    return (node << mesh.root.n_elements.bit_length()) | root_elem
 
 
 def overlay(m1, m2):
@@ -559,12 +514,14 @@ def overlay(m1, m2):
     """
     if not m1.same_root_as(m2):
         raise MeshError("overlay requires meshes refined from the same root")
-    internal = set()
-    for m in (m1, m2):
-        for r, p in zip(m.root_elem, m.paths):
-            for k in range(len(p)):
-                internal.add((int(r), p[:k]))
-    return _replay(m1.root, internal)
+    # split m2's ancestors top-down; the closure of each step is minimal, so
+    # no element outside the union of both forests is created
+    mesh = m1
+    for k in range(int(m2.generation.max(initial=0)), 0, -1):
+        want = _key(m2, m2.node >> k, m2.root_elem)
+        have = _key(mesh, mesh.node, mesh.root_elem)
+        mesh = refine(mesh, np.flatnonzero(np.isin(have, want))).mesh
+    return mesh
 
 
 def ancestor_map(fine, coarse):
@@ -574,16 +531,20 @@ def ancestor_map(fine, coarse):
     """
     if not fine.same_root_as(coarse):
         raise MeshError("meshes do not share a genealogy root")
-    index = {(int(r), p): i
-             for i, (r, p) in enumerate(zip(coarse.root_elem, coarse.paths))}
+    keys = _key(coarse, coarse.node, coarse.root_elem)
+    order = np.argsort(keys)
+    keys = keys[order]
     out = np.empty(fine.n_elements, dtype=np.int64)
-    for i, (r, p) in enumerate(zip(fine.root_elem, fine.paths)):
-        key = (int(r), p)
-        while key not in index:
-            if not key[1]:
-                raise MeshError("mesh is not a refinement of the given coarse mesh")
-            key = (key[0], key[1][:-1])
-        out[i] = index[key]
+    todo = np.arange(fine.n_elements)
+    node = fine.node
+    while todo.size:
+        want = _key(fine, node, fine.root_elem[todo])
+        pos = np.minimum(np.searchsorted(keys, want), keys.size - 1)
+        hit = keys[pos] == want
+        out[todo[hit]] = order[pos[hit]]
+        todo, node = todo[~hit], node[~hit] >> 1
+        if np.any(node == 0):
+            raise MeshError("mesh is not a refinement of the given coarse mesh")
     if np.unique(out).size != coarse.n_elements:
         raise MeshError("mesh is not a refinement of the given coarse mesh")
     return out

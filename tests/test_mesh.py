@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from amfem.mesh import (INITIAL_DOMAINS, Mesh, MeshError, ancestor_map,
                         create_initial, overlay, refine, uniform_refine)
@@ -14,6 +16,16 @@ def random_descendant(root, rng, rounds, frac=0.35):
         if marked.size == 0:
             marked = np.array([int(rng.integers(mesh.n_elements))])
         mesh = refine(mesh, marked, b=int(rng.integers(1, 3))).mesh
+    return mesh
+
+
+def drawn_descendant(data, root, max_rounds=3):
+    """A refinement of ``root`` by hypothesis-drawn marks and bisection counts."""
+    mesh = root
+    for _ in range(data.draw(st.integers(1, max_rounds))):
+        marked = data.draw(st.lists(st.integers(0, mesh.n_elements - 1),
+                                    min_size=1, max_size=6))
+        mesh = refine(mesh, marked, b=data.draw(st.integers(1, 3))).mesh
     return mesh
 
 
@@ -105,6 +117,61 @@ def test_refined_set_contains_marked():
             else:
                 assert old[t] in new
         m = rr.mesh
+
+
+@settings(max_examples=15, deadline=None)
+@given(domain=st.sampled_from(sorted(INITIAL_DOMAINS)), data=st.data())
+def test_refine_genealogy_properties(domain, data):
+    coarse = drawn_descendant(data, create_initial(domain), max_rounds=2)
+    marked = np.array(data.draw(st.lists(
+        st.integers(0, coarse.n_elements - 1), min_size=1, max_size=6)))
+    b = data.draw(st.integers(1, 3))
+    fine = refine(coarse, marked, b=b).mesh
+    # conforming: a fresh audit of the bare connectivity accepts it
+    Mesh(fine.vertices, fine.triangles)
+    assert float(np.sum(fine.areas)) == pytest.approx(
+        float(np.sum(coarse.areas)), rel=1e-13)
+    amap = ancestor_map(fine, coarse)
+    below = np.isin(amap, marked)
+    assert np.all(fine.generation[below] >= coarse.generation[amap[below]] + b)
+    acc = np.zeros(coarse.n_elements)
+    np.add.at(acc, amap, fine.areas)
+    assert np.allclose(acc, coarse.areas, rtol=1e-12)
+
+
+@settings(max_examples=15, deadline=None)
+@given(domain=st.sampled_from(sorted(INITIAL_DOMAINS)), data=st.data())
+def test_overlay_properties(domain, data):
+    root = create_initial(domain)
+    a = drawn_descendant(data, root)
+    b = drawn_descendant(data, root)
+    ab, ba = overlay(a, b), overlay(b, a)
+    assert set(ab.identities()) == set(ba.identities())
+    assert ab.n_elements <= a.n_elements + b.n_elements - root.n_elements
+    # minimal: every overlay element is an element of one of the inputs
+    assert set(ab.identities()) <= set(a.identities()) | set(b.identities())
+    Mesh(ab.vertices, ab.triangles)
+    for m in (a, b):
+        acc = np.zeros(m.n_elements)
+        np.add.at(acc, ancestor_map(ab, m), ab.areas)
+        assert np.allclose(acc, m.areas, rtol=1e-12)
+
+
+def test_refine_stops_at_the_key_limit():
+    root = create_initial("unit_square")
+    # keys (node << 2) | root_elem must fit in int64, so nodes stay below 2^61
+    limit = 1 << (63 - root.n_elements.bit_length())
+
+    def at(nodes):
+        return Mesh(root.vertices, root.triangles, root=root, node=nodes)
+
+    deepest = at([limit // 2, limit - 1])
+    assert deepest.generation.tolist() == [60, 60]
+    with pytest.raises(MeshError):
+        refine(deepest, [0])
+    assert refine(at([limit // 4, limit // 4 + 1]), [0]).mesh.generation.max() == 60
+    with pytest.raises(MeshError):
+        at([limit, 1])
 
 
 @pytest.mark.parametrize("domain", sorted(INITIAL_DOMAINS))
@@ -273,7 +340,7 @@ def test_serialize_round_trip_bitexact():
     assert np.array_equal(m2.triangles, m.triangles)
     assert np.array_equal(m2.root_elem, m.root_elem)
     assert np.array_equal(m2.generation, m.generation)
-    assert m2.paths == m.paths
+    assert np.array_equal(m2.node, m.node)
 
 
 def test_serialize_with_root_restores_ancestry(tmp_path):
@@ -301,3 +368,33 @@ def test_loaded_mesh_without_root_refuses_overlay():
 def test_loads_rejects_garbage():
     with pytest.raises(MeshError):
         Mesh.loads("not a mesh file")
+
+
+SQUARE = create_initial("unit_square")
+SQUARE_TEXT = refine(SQUARE, [0]).mesh.dumps()
+
+
+@pytest.mark.parametrize("old, new", [
+    ("4 2 3 r1p1 1\n", "4 2"),                  # truncated
+    ("mesh v1\n5\n", "mesh v1\nfive\n"),       # non-numeric count
+    ("r0p0 1\n", "r0p12 2\n"),                 # path digit other than 0/1
+    ("r1p0 1\n", "r1p0 7\n"),                  # generation != path length
+    ("r1p0 1\n", "r99p0 1\n"),                 # root element out of range
+], ids=["truncated", "count", "digit", "generation", "root"])
+def test_loads_rejects_malformed_text(old, new):
+    assert old in SQUARE_TEXT
+    with pytest.raises(MeshError):
+        Mesh.loads(SQUARE_TEXT.replace(old, new), root=SQUARE)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pos=st.integers(0, len(SQUARE_TEXT)), cut=st.integers(0, 4),
+       insert=st.text(alphabet="0129-e.pr \n", max_size=4),
+       with_root=st.booleans())
+def test_loads_mutated_text_raises_only_mesh_error(pos, cut, insert,
+                                                  with_root):
+    text = SQUARE_TEXT[:pos] + insert + SQUARE_TEXT[pos + cut:]
+    try:
+        Mesh.loads(text, root=SQUARE if with_root else None)
+    except MeshError:
+        pass

@@ -241,6 +241,22 @@ def test_reference_errors_track_exact_errors():
     assert 0.5 * tru.div2 <= sur.div2 <= tru.div2
 
 
+def test_reference_errors_build_one_ancestor_map(monkeypatch):
+    import amfem.fem as fem
+    import amfem.problems as problems
+    prob = builtin("square_sine")
+    mesh = uniform_refine(create_initial("unit_square"), 2)
+    sol = solve_on(prob, mesh)
+    ref = solve_on(prob, uniform_refine(mesh, 2))
+    calls = []
+    for mod in (fem, problems):
+        monkeypatch.setattr(mod, "ancestor_map",
+                            lambda f, c, real=mod.ancestor_map:
+                            calls.append(1) or real(f, c))
+    exact_errors(sol, prob, reference=ref)
+    assert len(calls) == 1
+
+
 def test_errors_require_exact_or_reference():
     prob = builtin("checkerboard")
     mesh = uniform_refine(create_initial("checkerboard"))
