@@ -363,9 +363,6 @@ class RateFit:
 def fit_rate(trace, quantity="flux_err", burn_in=2):
     """Fit error ~ C (n_elem - n_elem_0)^(-s); returns s with its stderr.
 
-    Refuses fewer than three usable rows, or rows whose n_elem - n_elem_0
-    spans less than a factor 2: such a slope says nothing about the rate.
-
     ``quantity`` selects a squared trace column ("flux_err", "E", "eta",
     "osc_f" map to their ``*2`` columns and are square-rooted first).
     """
@@ -383,8 +380,6 @@ def fit_rate(trace, quantity="flux_err", burn_in=2):
             ys.append(0.5 * np.log(float(v)))
     if len(xs) < 3:
         raise ValueError("need at least three usable trace rows to fit a rate")
-    if max(xs) - min(xs) < np.log(2.0):
-        raise ValueError("usable rows span less than a factor 2 in n_elem - n_elem_0")
     coef, cov = np.polyfit(xs, ys, 1, cov=True)
     return RateFit(rate=float(-coef[0]), stderr=float(np.sqrt(cov[0, 0])),
                    n_points=len(xs))

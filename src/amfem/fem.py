@@ -142,10 +142,12 @@ class FluxField:
     def div(self):
         return 2.0 * self.beta
 
-    def restrict_to(self, fine_mesh):
+    def restrict_to(self, fine_mesh, amap=None):
+        """This field on a refinement; ``amap`` is its ancestor map if known."""
         if fine_mesh is self.mesh:
             return self
-        amap = ancestor_map(fine_mesh, self.mesh)
+        if amap is None:
+            amap = ancestor_map(fine_mesh, self.mesh)
         return FluxField(fine_mesh, self.alpha[amap], self.beta[amap])
 
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fem import FluxField, PwConstData, eval_f_on_elements
+from .fem import PwConstData, eval_f_on_elements
 from .mesh import ancestor_map
 from .quadrature import TRI_7, tri_points
 from .util import ordered_sum
@@ -234,8 +234,8 @@ def _errors_vs_exact(sol, problem):
 def _errors_vs_reference(sol, reference, problem):
     fine = reference.mesh
     amap = ancestor_map(fine, sol.mesh)
-    coarse = FluxField(fine, sol.field.alpha[amap], sol.field.beta[amap])
-    flux2 = flux_dist2(problem, fine, reference.field, coarse)
+    flux2 = flux_dist2(problem, fine, reference.field,
+                       sol.field.restrict_to(fine, amap))
 
     hH2 = sol.mesh.areas[amap]              # squared coarse weight |T_H|
     ddiff = reference.div - sol.div[amap]

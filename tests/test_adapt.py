@@ -232,12 +232,6 @@ def test_fit_rate_burn_in_ignores_prefix():
 def test_fit_rate_needs_enough_rows():
     with pytest.raises(ValueError):
         fit_rate(synthetic_trace(n=4), "flux_err", burn_in=2)
-    # enough rows, but n_elem - n_elem_0 spans less than a factor 2
-    narrow = synthetic_trace(n=6)
-    for k, r in enumerate(narrow.rows[2:]):
-        r["n_elem"] = 2 + 1178 + 30 * k
-    with pytest.raises(ValueError):
-        fit_rate(narrow, "flux_err", burn_in=2)
     with pytest.raises(ValueError):
         fit_rate(synthetic_trace(), "entropy")
 
