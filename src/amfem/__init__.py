@@ -8,7 +8,7 @@ from .fem import (DofMap, SaddleSystem, MixedSolution, FluxField, PwConstData,
                   AssemblyError, SolverError, build_dofmap, project_f,
                   assemble, solve, rt0_interpolate)
 from .estimate import (IndicatorReport, OscReport, indicators_stress,
-                       indicators_full, oscillations, tangential_jump)
+                       indicators_full, oscillations)
 from .problems import ProblemSpec, ErrorTriple, builtin, exact_errors
 from .adapt import (MarkSet, AdaptTrace, RateFit, dorfler_mark, amfem,
                     approx_data, two_step, fit_rate, contraction_scan,
@@ -22,7 +22,7 @@ __all__ = [
     "AssemblyError", "SolverError", "build_dofmap", "project_f", "assemble",
     "solve", "rt0_interpolate",
     "IndicatorReport", "OscReport", "indicators_stress", "indicators_full",
-    "oscillations", "tangential_jump",
+    "oscillations",
     "ProblemSpec", "ErrorTriple", "builtin", "exact_errors",
     "MarkSet", "AdaptTrace", "RateFit", "dorfler_mark", "amfem",
     "approx_data", "two_step", "fit_rate", "contraction_scan",

@@ -208,7 +208,7 @@ def amfem(problem, eps=0.0, theta=0.5, b=1, max_dofs=100_000, max_iter=100,
         if estimator == "stress":
             report = indicators_stress(mesh, sol, problem, sol.f_elem)
         else:
-            report = indicators_full(mesh, sol, problem, kappa, sol.f_elem)
+            report = indicators_full(mesh, sol, problem, kappa)
         osc = oscillations(mesh, sol, problem, sol.f_elem)
 
         et = _measure(sol, problem, errors_vs) if errors == "auto" else None

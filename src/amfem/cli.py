@@ -46,7 +46,7 @@ from .adapt import (DEFAULT_GAMMA_GRID, DataApproxError, amfem,
                     contraction_scan, fit_rate, two_step)
 from .estimate import dump_indicators_csv
 from .fem import AssemblyError, SolverError, dump_solution_csv
-from .mesh import INITIAL_DOMAINS, MeshError
+from .mesh import INITIAL_DOMAINS, MeshError, create_initial
 from .problems import BUILTIN_PROBLEMS, ProblemSpec, builtin
 from .verify import SUITE_NAMES, run_many
 
@@ -109,8 +109,9 @@ class RunConfig:
             raise ConfigError("kappa must lie in [0, 1], got %r" % self.kappa)
         if self.b < 1:
             raise ConfigError("b must be a positive integer, got %r" % self.b)
-        if self.eps < 0.0:
-            raise ConfigError("eps must be nonnegative, got %r" % self.eps)
+        if not 0.0 <= self.eps < np.inf:
+            raise ConfigError("eps must be finite and nonnegative, got %r"
+                              % self.eps)
         if self.max_dofs < 1:
             raise ConfigError("max_dofs must be positive, got %r"
                               % self.max_dofs)
@@ -122,10 +123,12 @@ class RunConfig:
         if self.estimator not in ESTIMATORS:
             raise ConfigError("estimator must be one of %s, got %r"
                               % ("/".join(ESTIMATORS), self.estimator))
-        if self.gamma <= 0.0:
-            raise ConfigError("gamma must be positive, got %r" % self.gamma)
-        if len(self.gamma_grid) == 0 or min(self.gamma_grid) <= 0.0:
-            raise ConfigError("gamma_grid needs positive entries")
+        if not 0.0 < self.gamma < np.inf:
+            raise ConfigError("gamma must be finite and positive, got %r"
+                              % self.gamma)
+        if len(self.gamma_grid) == 0 or \
+                not all(0.0 < g < np.inf for g in self.gamma_grid):
+            raise ConfigError("gamma_grid needs finite positive entries")
         if self.coeffs and self.problem != "custom":
             raise ConfigError(
                 "coefficient keys (a.*, f.*) require problem = custom")
@@ -202,9 +205,9 @@ def load_config(path=None, overrides=None):
     cfg = RunConfig()
     if path is not None:
         try:
-            with open(path) as fh:
+            with open(path, encoding="utf-8") as fh:
                 kv = _parse_kv_lines(fh, source=os.path.basename(path))
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError("cannot read config file: %s" % exc)
         _apply_kv(cfg, kv)
     for key, val in (overrides or {}).items():
@@ -270,6 +273,9 @@ def _poly_table(coeffs, n_regions):
         i, j = _as_int(key, i), _as_int(key, j)
         if i < 0 or j < 0:
             raise ConfigError("key %r: powers must be nonnegative" % key)
+        if not np.isfinite(c):
+            raise ConfigError("key %r: source coefficient must be finite"
+                              % key)
         for r in regions:
             table[r][(i, j)] = table[r].get((i, j), 0.0) + c
     return table
@@ -287,9 +293,9 @@ def _region_values(coeffs, n_regions):
         if not 0 <= r < n_regions:
             raise ConfigError("key %r: region out of range [0, %d)"
                               % (key, n_regions))
-        if c <= 0.0:
-            raise ConfigError("key %r: diffusion constant must be positive"
-                              % key)
+        if not 0.0 < c < np.inf:
+            raise ConfigError("key %r: diffusion constant must be finite "
+                              "and positive" % key)
         vals[r] = c
     return vals
 
@@ -301,8 +307,6 @@ def make_custom_problem(coeffs, domain="unit_square"):
     numbers; unspecified regions default to a = 1 and f = 0.  Boundary
     data is homogeneous.
     """
-    from .mesh import create_initial
-
     mesh0 = create_initial(domain)
     nr = mesh0.n_elements
     a_vals = _region_values(coeffs, nr)
@@ -400,6 +404,11 @@ def cmd_run(args):
     else:
         problem = builtin(cfg.problem)
         cfg.domain = problem.domain
+    n_flux0 = create_initial(cfg.domain).n_edges
+    if cfg.max_dofs < n_flux0:
+        raise ConfigError("max_dofs %d is below the %d flux dofs of the "
+                          "initial %s mesh" % (cfg.max_dofs, n_flux0,
+                                               cfg.domain))
 
     trace = _run_trace(cfg, problem)
 
@@ -434,6 +443,8 @@ def cmd_run(args):
 
 
 def cmd_verify(args):
+    if args.seed < 0:
+        raise ConfigError("seed must be nonnegative, got %d" % args.seed)
     names = tuple(args.suite) or ("all",)
     for n in names:
         if n not in SUITE_NAMES + ("all",):

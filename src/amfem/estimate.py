@@ -39,12 +39,21 @@ derivative of the Dirichlet datum (zero for g = 0, recovering the plain
 one-sided trace).
 
 Oscillations replace integrands by their residuals under local L2-best
-approximation: degree 1 on elements, degree 2 on edges.  The projections
-are computed by local mass-matrix solves on monomial bases; element terms
-use the same 6-point rule as the estimator (so oscillation never exceeds
-the matching estimator term), edge projections use a 5-point rule because
-a 3-point rule would interpolate the quadratic basis exactly and return
-identically zero residuals.
+approximation: degree 1 on elements, degree 2 on edges.  Both projections
+commute with the affine map of an element or edge, and a quadrature rule
+has the same reference nodes and weights everywhere, so each projection
+residual is one constant matrix ``I - V (V^T W V)^-1 V^T W`` applied to
+the samples: V holds the barycentric coordinates of the 6-point rule on
+elements and the monomials 1, t, t^2 at the nodes of the 5-point rule on
+edges.  Element terms use the same 6-point rule as the estimator (so
+oscillation never exceeds the matching estimator term); edges use a
+5-point rule because a 3-point rule would interpolate the quadratic basis
+exactly and return identically zero residuals.
+
+Every term samples the flux the same way: ``_element_samples`` gives the
+element points with A^-1 q and curl(A^-1 q) there, ``_edge_jumps`` the
+tangential jumps at edge points, and ``_element_term`` / ``_edge_term``
+turn samples into the weighted per-element squares above.
 """
 
 from dataclasses import dataclass, field as dc_field
@@ -59,7 +68,7 @@ from .util import ordered_sum
 
 __all__ = [
     "IndicatorReport", "OscReport", "indicators_stress", "indicators_full",
-    "oscillations", "data_osc_elem", "tangential_jump", "dump_indicators_csv",
+    "oscillations", "data_osc_elem", "dump_indicators_csv",
 ]
 
 # relative pull of edge quadrature points toward the element centroid when
@@ -130,16 +139,44 @@ def _as_field(mesh, sol_or_field):
     return f
 
 
-def _curl_values(mesh, field, problem, pts, flat_ainv):
-    """curl(A^-1 q) at per-element points; flat_ainv is A^-1 at pts."""
-    nt, q = pts.shape[:2]
-    vals = field.eval(np.arange(nt), pts)
-    skew = flat_ainv[:, :, 1, 0] - flat_ainv[:, :, 0, 1]
-    out = field.beta[:, None] * skew
+def _projection_residual(basis, w):
+    """I - V (V^T W V)^-1 V^T W: the residual of the discrete L2 projection
+    onto the span of the columns of ``basis`` (V) at nodes with weights w."""
+    vw = basis.T * w
+    return np.eye(basis.shape[0]) - basis @ np.linalg.solve(vw @ basis, vw)
+
+
+# affine functions on an element are spanned by its barycentric coordinates
+_P1_RESIDUAL = _projection_residual(TRI_6[0], TRI_6[1])
+# quadratics along an edge, in its parameter t
+_P2_EDGE_RESIDUAL = _projection_residual(
+    np.vander(EDGE_5[0], 3, increasing=True), EDGE_5[1])
+
+
+def _element_samples(mesh, field, problem):
+    """6-point rule points per element with A^-1 q and curl(A^-1 q) there."""
+    pts = tri_points(TRI_6, mesh.vertices[mesh.triangles])
+    nt, nq = pts.shape[:2]
+    flat = pts.reshape(-1, 2)
+    ainv = np.asarray(problem.A_inv(flat)).reshape(nt, nq, 2, 2)
+    q = field.eval(np.arange(nt), pts)
+    curl = field.beta[:, None] * (ainv[:, :, 1, 0] - ainv[:, :, 0, 1])
     if problem.curl_A_inv is not None:
-        cai = np.asarray(problem.curl_A_inv(pts.reshape(-1, 2))).reshape(nt, q, 2)
-        out = out + np.einsum("tqd,tqd->tq", cai, vals)
-    return out
+        cai = np.asarray(problem.curl_A_inv(flat)).reshape(nt, nq, 2)
+        curl = curl + np.einsum("tqd,tqd->tq", cai, q)
+    return pts, np.einsum("tqab,tqb->tqa", ainv, q), curl
+
+
+def _element_term(mesh, values):
+    """h_T^2 ||v||_T^2 from samples of shape (nt, 6) or (nt, 6, 2)."""
+    sq = values ** 2 if values.ndim == 2 else \
+        np.einsum("tqd,tqd->tq", values, values)
+    return (sq @ TRI_6[1]) * mesh.areas ** 2
+
+
+def _p1_residual(values):
+    """Residual of the L2(T) projection onto affine functions, per element."""
+    return np.einsum("pq,tq...->tp...", _P1_RESIDUAL, values)
 
 
 def _edge_jumps(mesh, field, problem, rule):
@@ -179,23 +216,10 @@ def _edge_jumps(mesh, field, problem, rule):
     return jumps
 
 
-def _edge_sq_integrals(mesh, jumps, rule):
-    _, w = rule
-    return ((jumps ** 2) @ w) * mesh.edge_lengths
-
-
-def _scatter_edge_to_elem(mesh, edge_int):
-    """h_T times the sum of edge integrals over each element's boundary."""
-    h = np.sqrt(mesh.areas)
-    return h * edge_int[mesh.tri_edges].sum(axis=1)
-
-
-def _element_quadrature(mesh, field, problem):
-    verts = mesh.vertices[mesh.triangles]
-    pts = tri_points(TRI_6, verts)
-    flat = pts.reshape(-1, 2)
-    ainv = np.asarray(problem.A_inv(flat)).reshape(pts.shape[0], pts.shape[1], 2, 2)
-    return pts, ainv
+def _edge_term(mesh, jumps, rule):
+    """h_T times the sum of ||jump||_E^2 over each element's edges."""
+    edge_int = ((jumps ** 2) @ rule[1]) * mesh.edge_lengths
+    return np.sqrt(mesh.areas) * edge_int[mesh.tri_edges].sum(axis=1)
 
 
 def data_osc_elem(f, mesh, f_elem=None, pts=None):
@@ -218,21 +242,16 @@ def data_osc_elem(f, mesh, f_elem=None, pts=None):
 def indicators_stress(mesh, sol_or_field, problem, f_elem=None):
     """Stress estimator, the default input of the marking step."""
     fld = _as_field(mesh, sol_or_field)
-    if f_elem is None:
-        f_elem = project_f(problem.f, mesh)
-    _, w = TRI_6
-    pts, ainv = _element_quadrature(mesh, fld, problem)
-
-    data2 = data_osc_elem(problem.f, mesh, f_elem, pts)
-    cv = _curl_values(mesh, fld, problem, pts, ainv)
-    curl2 = ((cv ** 2) @ w) * mesh.areas ** 2
+    pts, _, curl = _element_samples(mesh, fld, problem)
     jumps = _edge_jumps(mesh, fld, problem, EDGE_3)
-    jump2 = _scatter_edge_to_elem(mesh, _edge_sq_integrals(mesh, jumps, EDGE_3))
-    return IndicatorReport(mesh=mesh, estimator="stress",
-                           data2=data2, curl2=curl2, jump2=jump2)
+    return IndicatorReport(
+        mesh=mesh, estimator="stress",
+        data2=data_osc_elem(problem.f, mesh, f_elem, pts),
+        curl2=_element_term(mesh, curl),
+        jump2=_edge_term(mesh, jumps, EDGE_3))
 
 
-def indicators_full(mesh, sol, problem, kappa=1.0, f_elem=None):
+def indicators_full(mesh, sol, problem, kappa=1.0):
     """Full estimator with data exponent kappa in [0, 1].
 
     The data residual is ``f + div q`` (not the projected difference), the
@@ -242,59 +261,15 @@ def indicators_full(mesh, sol, problem, kappa=1.0, f_elem=None):
     if not 0.0 <= kappa <= 1.0:
         raise ValueError("kappa must lie in [0, 1]")
     fld = _as_field(mesh, sol)
-    if f_elem is None:
-        f_elem = project_f(problem.f, mesh)
-    _, w = TRI_6
-    pts, ainv = _element_quadrature(mesh, fld, problem)
-
-    fv = eval_f_on_elements(problem.f, mesh, pts)
-    resid = fv + fld.div[:, None]
-    data2 = ((resid ** 2) @ w) * mesh.areas ** kappa * mesh.areas
-
-    cv = _curl_values(mesh, fld, problem, pts, ainv)
-    curl2 = ((cv ** 2) @ w) * mesh.areas ** 2
+    pts, aq, curl = _element_samples(mesh, fld, problem)
+    resid = eval_f_on_elements(problem.f, mesh, pts) + fld.div[:, None]
     jumps = _edge_jumps(mesh, fld, problem, EDGE_3)
-    jump2 = _scatter_edge_to_elem(mesh, _edge_sq_integrals(mesh, jumps, EDGE_3))
-
-    av = np.einsum("tqab,tqb->tqa", ainv,
-                   fld.eval(np.arange(mesh.n_elements), pts))
-    disp2 = (np.einsum("tqd,tqd->tq", av, av) @ w) * mesh.areas ** 2
-    return IndicatorReport(mesh=mesh, estimator="full", kappa=kappa,
-                           data2=data2, curl2=curl2, jump2=jump2, disp2=disp2)
-
-
-def _project_residual_elem(mesh, values, pts, w):
-    """Residual of the L2(T) projection onto affine functions, per element.
-
-    ``values`` has shape (nt, q) or (nt, q, d); the projection uses the
-    centroid-centered, h-scaled monomials {1, x, y} and the same quadrature
-    as the integrand, so the returned residual norm never exceeds the plain
-    norm of ``values``.
-    """
-    cent = mesh.centroids
-    scale = np.sqrt(mesh.areas)
-    mono = np.concatenate(
-        [np.ones(pts.shape[:2])[..., None],
-         (pts - cent[:, None, :]) / scale[:, None, None]], axis=2)  # (nt,q,3)
-    mass = np.einsum("tqi,tqj,q->tij", mono, mono, w)
-    vec = values if values.ndim == 3 else values[..., None]
-    rhs = np.einsum("tqi,tqd,q->tid", mono, vec, w)
-    try:
-        coef = np.linalg.solve(mass, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise MeshError(f"ill-conditioned local mass matrix: {exc}") from exc
-    resid = vec - np.einsum("tqi,tid->tqd", mono, coef)
-    return resid if values.ndim == 3 else resid[..., 0]
-
-
-def _edge_projection_residual(jumps, rule):
-    """Residual of the L2 projection onto quadratics along each edge."""
-    t, w = rule
-    mono = np.stack([np.ones_like(t), t - 0.5, (t - 0.5) ** 2], axis=1)  # (q,3)
-    mass = np.einsum("qi,qj,q->ij", mono, mono, w)
-    rhs = np.einsum("qi,eq,q->ei", mono, jumps, w)
-    coef = np.linalg.solve(mass, rhs.T).T
-    return jumps - coef @ mono.T
+    return IndicatorReport(
+        mesh=mesh, estimator="full", kappa=kappa,
+        data2=((resid ** 2) @ TRI_6[1]) * mesh.areas ** kappa * mesh.areas,
+        curl2=_element_term(mesh, curl),
+        jump2=_edge_term(mesh, jumps, EDGE_3),
+        disp2=_element_term(mesh, aq))
 
 
 def oscillations(mesh, sol_or_field, problem, f_elem=None):
@@ -305,42 +280,14 @@ def oscillations(mesh, sol_or_field, problem, f_elem=None):
     for the displacement residual part.
     """
     fld = _as_field(mesh, sol_or_field)
-    if f_elem is None:
-        f_elem = project_f(problem.f, mesh)
-    _, w = TRI_6
-    pts, ainv = _element_quadrature(mesh, fld, problem)
-
-    data_osc2 = data_osc_elem(problem.f, mesh, f_elem, pts)
-
-    cv = _curl_values(mesh, fld, problem, pts, ainv)
-    cres = _project_residual_elem(mesh, cv, pts, w)
-    curl_osc2 = ((cres ** 2) @ w) * mesh.areas ** 2
-
-    jumps5 = _edge_jumps(mesh, fld, problem, EDGE_5)
-    jres = _edge_projection_residual(jumps5, EDGE_5)
-    jint = _edge_sq_integrals(mesh, jres, EDGE_5)
-    jump_osc2 = _scatter_edge_to_elem(mesh, jint)
-
-    av = np.einsum("tqab,tqb->tqa", ainv,
-                   fld.eval(np.arange(mesh.n_elements), pts))
-    ares = _project_residual_elem(mesh, av, pts, w)
-    disp_osc2 = (np.einsum("tqd,tqd->tq", ares, ares) @ w) * mesh.areas ** 2
-
-    return OscReport(mesh=mesh, curl_osc2=curl_osc2, jump_osc2=jump_osc2,
-                     data_osc2=data_osc2, disp_osc2=disp_osc2)
-
-
-def tangential_jump(mesh, sol_or_field, problem, edge, orientation=1, rule=EDGE_3):
-    """Samples of J(A^-1 q . tau) at the quadrature points of one edge.
-
-    ``orientation=-1`` reverses the tangent while keeping the stored side
-    order, so the returned samples change sign.
-    """
-    fld = _as_field(mesh, sol_or_field)
-    jumps = _edge_jumps(mesh, fld, problem, rule)
-    if orientation not in (1, -1):
-        raise ValueError("orientation must be +1 or -1")
-    return orientation * jumps[edge]
+    pts, aq, curl = _element_samples(mesh, fld, problem)
+    jumps = _edge_jumps(mesh, fld, problem, EDGE_5) @ _P2_EDGE_RESIDUAL.T
+    return OscReport(
+        mesh=mesh,
+        curl_osc2=_element_term(mesh, _p1_residual(curl)),
+        jump_osc2=_edge_term(mesh, jumps, EDGE_5),
+        data_osc2=data_osc_elem(problem.f, mesh, f_elem, pts),
+        disp_osc2=_element_term(mesh, _p1_residual(aq)))
 
 
 def dump_indicators_csv(report, osc, path):

@@ -4,6 +4,8 @@ import functools
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import amfem.cli as cli
 from amfem.cli import (ConfigError, load_config, main, make_custom_problem)
@@ -124,6 +126,9 @@ def test_custom_problem_run(tmp_path):
     ("run", "--bogus-flag",),
     ("run", "--seed", "3"),               # runs have no seed
     ("verify", "no_such_suite"),
+    ("run", "--eps", "nan"),
+    ("run", "--gamma-grid", "nan"),
+    ("verify", "--seed", "-1"),
 ])
 def test_bad_invocations_exit_2(argv, capsys):
     assert run_cli(*argv) == 2
@@ -140,12 +145,77 @@ def test_bad_invocations_exit_2(argv, capsys):
     "f.0 = 1.0\nproblem = custom\n",      # malformed source key
     "a.0 = 2.0\n",                        # coeffs need problem = custom
     "seed = 1\n",                         # runs have no seed
+    "eps = nan\n",
+    "eps = inf\n",
+    "gamma = nan\n",
+    "gamma_grid = 1.0, nan\n",
+    "a.0 = nan\nproblem = custom\n",
+    "a.0 = inf\nproblem = custom\n",
+    "f.0.0 = nan\nproblem = custom\n",
 ])
 def test_bad_config_files_exit_2(text, tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(text)
     assert run_cli("run", "--config", str(cfg)) == 2
     assert "error=config" in capsys.readouterr().err
+
+
+def test_non_utf8_config_file_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"\xff\xfe = 1\n")
+    assert run_cli("run", "--config", str(cfg)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("amfem: error=config detail=")
+    assert err.count("\n") == 1
+
+
+def test_max_dofs_below_initial_mesh_exits_2(tmp_path, capsys):
+    # the initial unit square has 5 flux dofs
+    out = tmp_path / "out"
+    assert run_cli("run", "--problem", "square_sine", "--max-dofs", "4",
+                   "--out", str(out)) == 2
+    assert "error=config" in capsys.readouterr().err
+    assert not out.exists()
+    assert run_cli("run", "--problem", "square_sine", "--max-dofs", "5",
+                   "--out", str(out)) == 0
+    rows = (out / "trace.csv").read_text().splitlines()[1:]
+    assert [int(r.split(",")[2]) for r in rows] == [5]
+
+
+CUSTOM_TEXT = ("problem = custom\n"
+               "domain = lshape\n"
+               "theta = 0.5   # bulk fraction\n"
+               "kappa = 1.0\n"
+               "eps = 0.01\n"
+               "gamma = 1.0\n"
+               "gamma_grid = 0.1, 1.0, 10\n"
+               "b = 1\n"
+               "max_dofs = 300\n"
+               "mode = adaptive\n"
+               "a.0 = 4.0\n"
+               "f.1.0 = 1.0\n"
+               "f.2.0.1 = -0.5\n").encode()
+
+_TOKENS = ("0", "1", "9", "-", ".", "e", "=", "#", ",", " ", "\n", "a.",
+           "f.", "nan", "inf", "1e999", "x", "\u00e9")
+
+
+@settings(max_examples=300, deadline=None)
+@given(pos=st.integers(0, len(CUSTOM_TEXT)), cut=st.integers(0, 6),
+       insert=st.one_of(
+           st.lists(st.sampled_from(_TOKENS), max_size=3).map(
+               lambda parts: "".join(parts).encode()),
+           st.binary(max_size=3)))
+def test_mutated_config_raises_only_config_error(tmp_path_factory, pos, cut,
+                                                 insert):
+    path = tmp_path_factory.getbasetemp() / "mutated.cfg"
+    path.write_bytes(CUSTOM_TEXT[:pos] + insert + CUSTOM_TEXT[pos + cut:])
+    try:
+        cfg = load_config(str(path))
+        if cfg.problem == "custom":
+            make_custom_problem(cfg.coeffs, cfg.domain)
+    except ConfigError:
+        pass
 
 
 def test_missing_config_file_exits_2(tmp_path):

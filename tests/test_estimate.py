@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 import amfem.quadrature as quad
-from amfem.estimate import (indicators_full, indicators_stress, oscillations,
-                            tangential_jump)
+from amfem.estimate import indicators_full, indicators_stress, oscillations
 from amfem.adapt import solve_on
 from amfem.fem import FluxField
-from amfem.mesh import create_initial, uniform_refine
+from amfem.mesh import create_initial, refine, uniform_refine
 from amfem.problems import ProblemSpec, builtin
 
 
@@ -24,6 +23,28 @@ def make_problem(f, name="synthetic", **kw):
 
 def zero_field(mesh):
     return FluxField.from_coeffs(mesh, np.zeros(mesh.n_edges))
+
+
+def varcoef_problem():
+    """A = (1 + x^2) I: smooth, symmetric, with a nonzero Curl A^-1."""
+
+    def A(x):
+        x = np.atleast_2d(x)
+        return (1.0 + x[:, 0] ** 2)[:, None, None] * np.eye(2)[None]
+
+    def A_inv(x):
+        x = np.atleast_2d(x)
+        return (1.0 / (1.0 + x[:, 0] ** 2))[:, None, None] * np.eye(2)[None]
+
+    def curl_A_inv(x):
+        x = np.atleast_2d(x)
+        gx = -2.0 * x[:, 0] / (1.0 + x[:, 0] ** 2) ** 2
+        return np.stack([np.zeros_like(gx), gx], axis=-1)
+
+    return ProblemSpec(name="varcoef", domain="unit_square", A=A,
+                       A_inv=A_inv, f=lambda x: np.ones(
+                           np.atleast_2d(x).shape[0]),
+                       curl_A_inv=curl_A_inv)
 
 
 # ---------------------------------------------------------------------------
@@ -62,26 +83,9 @@ def test_curl_term_vanishes_for_constant_coefficients():
 
 
 def test_curl_term_matches_independent_quadrature():
-    # A = (1 + x^2) I varies smoothly; for a flux in the lowest-order
-    # space curl(A^-1 q) reduces to Curl(a^-1) . q
-
-    def A(x):
-        x = np.atleast_2d(x)
-        return (1.0 + x[:, 0] ** 2)[:, None, None] * np.eye(2)[None]
-
-    def A_inv(x):
-        x = np.atleast_2d(x)
-        return (1.0 / (1.0 + x[:, 0] ** 2))[:, None, None] * np.eye(2)[None]
-
-    def curl_A_inv(x):
-        x = np.atleast_2d(x)
-        gx = -2.0 * x[:, 0] / (1.0 + x[:, 0] ** 2) ** 2
-        return np.stack([np.zeros_like(gx), gx], axis=-1)
-
-    prob = ProblemSpec(name="varcoef", domain="unit_square", A=A,
-                       A_inv=A_inv, f=lambda x: np.ones(
-                           np.atleast_2d(x).shape[0]),
-                       curl_A_inv=curl_A_inv)
+    # for a flux in the lowest-order space and A = (1 + x^2) I,
+    # curl(A^-1 q) reduces to Curl(a^-1) . q
+    prob = varcoef_problem()
     mesh = uniform_refine(create_initial("unit_square"), 4)
     sol = solve_on(prob, mesh)
     rep = indicators_stress(mesh, sol, prob)
@@ -90,11 +94,44 @@ def test_curl_term_matches_independent_quadrature():
     pts = quad.tri_points(quad.TRI_7, mesh.vertices[mesh.triangles])
     el = np.arange(mesh.n_elements)
     vals = sol.field.eval(el, pts)
-    cai = curl_A_inv(pts.reshape(-1, 2)).reshape(pts.shape)
+    cai = prob.curl_A_inv(pts.reshape(-1, 2)).reshape(pts.shape)
     cv = np.einsum("tqd,tqd->tq", cai, vals)
     manual = mesh.areas ** 2 * ((cv ** 2) @ quad.TRI_7[1])
     # different quadrature degrees, so agreement is approximate
     assert np.allclose(rep.curl2, manual, rtol=2e-3, atol=1e-15)
+
+
+def test_element_oscillations_match_least_squares_fits():
+    # the constant reference projector against a weighted least-squares
+    # fit of {1, x, y} in physical coordinates on every element of a mesh
+    # graded toward (1, 1), where curl(A^-1 q) and A^-1 q are not affine
+    prob = varcoef_problem()
+    mesh = uniform_refine(create_initial("unit_square"), 4)
+    for _ in range(8):
+        corner = (mesh.vertices[mesh.triangles] == 1.0).all(axis=2).any(axis=1)
+        mesh = refine(mesh, np.flatnonzero(corner)).mesh
+    sol = solve_on(prob, mesh)
+    osc = oscillations(mesh, sol, prob)
+
+    pts = quad.tri_points(quad.TRI_6, mesh.vertices[mesh.triangles])
+    w = quad.TRI_6[1]
+    q = sol.field.eval(np.arange(mesh.n_elements), pts)
+    cai = prob.curl_A_inv(pts.reshape(-1, 2)).reshape(pts.shape)
+    curl = np.einsum("tqd,tqd->tq", cai, q)
+    aq = q / (1.0 + pts[..., :1] ** 2)
+    ref_curl = np.empty(mesh.n_elements)
+    ref_disp = np.empty(mesh.n_elements)
+    for t in range(mesh.n_elements):
+        basis = np.column_stack([np.ones(6), pts[t]])
+        for vals, out in ((curl[t][:, None], ref_curl), (aq[t], ref_disp)):
+            coef = np.linalg.lstsq(np.sqrt(w)[:, None] * basis,
+                                   np.sqrt(w)[:, None] * vals, rcond=None)[0]
+            resid = vals - basis @ coef
+            out[t] = mesh.areas[t] ** 2 * (w @ (resid ** 2).sum(axis=1))
+
+    assert ref_curl.min() > 0.0 and ref_disp.min() > 0.0
+    assert np.allclose(osc.curl_osc2, ref_curl, rtol=1e-10, atol=0.0)
+    assert np.allclose(osc.disp_osc2, ref_disp, rtol=1e-10, atol=0.0)
 
 
 def test_jump_locality_single_edge_field():
@@ -199,19 +236,6 @@ def test_indicator_report_subset_sum():
     assert rep.subset_sum(np.arange(mesh.n_elements)) == \
         pytest.approx(rep.eta2, rel=1e-14)
     assert rep.eta == pytest.approx(np.sqrt(rep.eta2))
-
-
-def test_tangential_jump_orientation():
-    prob = builtin("square_sine")
-    mesh = uniform_refine(create_initial("unit_square"))
-    sol = solve_on(prob, mesh)
-    interior = np.flatnonzero(~mesh.boundary_edge)
-    e = int(interior[0])
-    fwd = tangential_jump(mesh, sol, prob, e, orientation=1)
-    bwd = tangential_jump(mesh, sol, prob, e, orientation=-1)
-    assert np.allclose(bwd, -fwd, atol=1e-15)
-    with pytest.raises(ValueError):
-        tangential_jump(mesh, sol, prob, e, orientation=0)
 
 
 def test_field_and_solution_reports_agree():
