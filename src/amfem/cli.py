@@ -123,6 +123,10 @@ class RunConfig:
         if self.estimator not in ESTIMATORS:
             raise ConfigError("estimator must be one of %s, got %r"
                               % ("/".join(ESTIMATORS), self.estimator))
+        if self.mode == "two_step" and (self.estimator != "stress"
+                                        or self.kappa != 1.0):
+            raise ConfigError("two_step mode runs the stress estimator; "
+                              "estimator and kappa do not apply")
         if not 0.0 < self.gamma < np.inf:
             raise ConfigError("gamma must be finite and positive, got %r"
                               % self.gamma)

@@ -50,8 +50,9 @@ oscillation never exceeds the matching estimator term); edges use a
 5-point rule because a 3-point rule would interpolate the quadratic basis
 exactly and return identically zero residuals.
 
-Every term samples the flux the same way: ``_element_samples`` gives the
-element points with A^-1 q and curl(A^-1 q) there, ``_edge_jumps`` the
+Every term samples the flux the same way: ``_element_samples`` gives
+A^-1 q and curl(A^-1 q) at the mesh's cached 6-point rule points
+``mesh.quad_points``, ``_edge_jumps`` the
 tangential jumps at edge points, and ``_element_term`` / ``_edge_term``
 turn samples into the weighted per-element squares above.
 """
@@ -63,7 +64,7 @@ import numpy as np
 from .fem import (FluxField, MixedSolution, PwConstData, eval_f_on_elements,
                   project_f)
 from .mesh import MeshError
-from .quadrature import TRI_6, EDGE_3, EDGE_5, tri_points, edge_points
+from .quadrature import TRI_6, EDGE_3, EDGE_5, edge_points
 from .util import ordered_sum
 
 __all__ = [
@@ -154,8 +155,8 @@ _P2_EDGE_RESIDUAL = _projection_residual(
 
 
 def _element_samples(mesh, field, problem):
-    """6-point rule points per element with A^-1 q and curl(A^-1 q) there."""
-    pts = tri_points(TRI_6, mesh.vertices[mesh.triangles])
+    """A^-1 q and curl(A^-1 q) at the 6-point rule points of each element."""
+    pts = mesh.quad_points
     nt, nq = pts.shape[:2]
     flat = pts.reshape(-1, 2)
     ainv = np.asarray(problem.A_inv(flat)).reshape(nt, nq, 2, 2)
@@ -164,7 +165,7 @@ def _element_samples(mesh, field, problem):
     if problem.curl_A_inv is not None:
         cai = np.asarray(problem.curl_A_inv(flat)).reshape(nt, nq, 2)
         curl = curl + np.einsum("tqd,tqd->tq", cai, q)
-    return pts, np.einsum("tqab,tqb->tqa", ainv, q), curl
+    return np.einsum("tqab,tqb->tqa", ainv, q), curl
 
 
 def _element_term(mesh, values):
@@ -222,31 +223,28 @@ def _edge_term(mesh, jumps, rule):
     return np.sqrt(mesh.areas) * edge_int[mesh.tri_edges].sum(axis=1)
 
 
-def data_osc_elem(f, mesh, f_elem=None, pts=None):
+def data_osc_elem(f, mesh, f_elem=None):
     """Per-element squared data oscillation h_T^2 ||f - f_h||_T^2.
 
     Exactly zero for mesh-attached constant data.  ``f_elem`` (the cellwise
-    means of f) and ``pts`` (the element points of the 6-point rule) are
-    computed when not given.
+    means of f) is computed when not given.
     """
     if isinstance(f, PwConstData):
         return np.zeros(mesh.n_elements)
     if f_elem is None:
         f_elem = project_f(f, mesh)
-    if pts is None:
-        pts = tri_points(TRI_6, mesh.vertices[mesh.triangles])
-    fv = eval_f_on_elements(f, mesh, pts)
+    fv = eval_f_on_elements(f, mesh, mesh.quad_points)
     return ((fv - f_elem[:, None]) ** 2 @ TRI_6[1]) * mesh.areas ** 2
 
 
 def indicators_stress(mesh, sol_or_field, problem, f_elem=None):
     """Stress estimator, the default input of the marking step."""
     fld = _as_field(mesh, sol_or_field)
-    pts, _, curl = _element_samples(mesh, fld, problem)
+    _, curl = _element_samples(mesh, fld, problem)
     jumps = _edge_jumps(mesh, fld, problem, EDGE_3)
     return IndicatorReport(
         mesh=mesh, estimator="stress",
-        data2=data_osc_elem(problem.f, mesh, f_elem, pts),
+        data2=data_osc_elem(problem.f, mesh, f_elem),
         curl2=_element_term(mesh, curl),
         jump2=_edge_term(mesh, jumps, EDGE_3))
 
@@ -261,8 +259,9 @@ def indicators_full(mesh, sol, problem, kappa=1.0):
     if not 0.0 <= kappa <= 1.0:
         raise ValueError("kappa must lie in [0, 1]")
     fld = _as_field(mesh, sol)
-    pts, aq, curl = _element_samples(mesh, fld, problem)
-    resid = eval_f_on_elements(problem.f, mesh, pts) + fld.div[:, None]
+    aq, curl = _element_samples(mesh, fld, problem)
+    resid = eval_f_on_elements(problem.f, mesh, mesh.quad_points) \
+        + fld.div[:, None]
     jumps = _edge_jumps(mesh, fld, problem, EDGE_3)
     return IndicatorReport(
         mesh=mesh, estimator="full", kappa=kappa,
@@ -280,13 +279,13 @@ def oscillations(mesh, sol_or_field, problem, f_elem=None):
     for the displacement residual part.
     """
     fld = _as_field(mesh, sol_or_field)
-    pts, aq, curl = _element_samples(mesh, fld, problem)
+    aq, curl = _element_samples(mesh, fld, problem)
     jumps = _edge_jumps(mesh, fld, problem, EDGE_5) @ _P2_EDGE_RESIDUAL.T
     return OscReport(
         mesh=mesh,
         curl_osc2=_element_term(mesh, _p1_residual(curl)),
         jump_osc2=_edge_term(mesh, jumps, EDGE_5),
-        data_osc2=data_osc_elem(problem.f, mesh, f_elem, pts),
+        data_osc2=data_osc_elem(problem.f, mesh, f_elem),
         disp_osc2=_element_term(mesh, _p1_residual(aq)))
 
 

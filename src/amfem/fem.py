@@ -29,7 +29,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .mesh import ancestor_map
-from .quadrature import TRI_6, EDGE_3, tri_points, edge_points
+from .quadrature import TRI_6, EDGE_3, edge_points
 
 __all__ = [
     "AssemblyError", "SolverError", "DofMap", "SaddleSystem", "MixedSolution",
@@ -103,8 +103,7 @@ def project_f(f, mesh):
     """L2 projection of f onto elementwise constants: the cellwise means."""
     if isinstance(f, PwConstData):
         return f.values_on(mesh).copy()
-    pts = tri_points(TRI_6, mesh.vertices[mesh.triangles])
-    vals = eval_f_on_elements(f, mesh, pts)
+    vals = eval_f_on_elements(f, mesh, mesh.quad_points)
     _, w = TRI_6
     return vals @ w
 
@@ -186,9 +185,9 @@ def assemble(mesh, dofmap, problem, f_elem):
     if f_elem.shape != (mesh.n_elements,):
         raise AssemblyError("f_elem must hold one value per element")
 
-    bary, w = TRI_6
+    _, w = TRI_6
     verts = mesh.vertices[mesh.triangles]                 # (nt, 3, 2)
-    pts = tri_points(TRI_6, verts)                        # (nt, q, 2)
+    pts = mesh.quad_points                                # (nt, q, 2)
     flat = pts.reshape(-1, 2)
     ainv = np.asarray(problem.A_inv(flat), dtype=np.float64)
     _check_spd(ainv, flat)

@@ -21,12 +21,21 @@ A mesh stores, besides coordinates and connectivity,
         would not fit in int64 raises MeshError, which allows generations up
         to 62 - s (58 on the checkerboard, 60 on the unit square).
 
-Conformity is maintained by edge marking: the refinement edges of all
-marked elements are collected, then any element that sees a marked edge
-gets its own refinement edge marked too, until a fixed point is reached.
-Each element is then split across its marked edges (into 2, 3 or 4
-children).  This produces the same meshes as the classical recursive
-bisection and terminates for any initial labeling.
+Conformity is maintained by edge marking (Funken, Praetorius and Wissgott,
+CMAM 11, 2011): the refinement edges of all marked elements are collected,
+then any element that sees a marked edge gets its own refinement edge
+marked too, until a fixed point is reached.  The fixed point is computed on
+arrays, one round per frontier of newly marked edges.  Each element is
+then split across its marked edges (into 2, 3 or 4 children) by masks on
+its three edge flags, and the children are written at cumulative offsets,
+so the element order is that of a loop over the parent elements.  This
+produces the same meshes as the classical recursive bisection and
+terminates for any initial labeling.
+
+A mesh is immutable once built.  Its element areas, centroids and the
+points of the 6-point element rule (``quad_points``) are computed on first
+use, kept read-only and shared by assembly, the estimator and the data
+oscillation.
 
 Edges carry a global orientation fixed by the lexicographic order of their
 endpoint indices: the tangent points from the lower to the higher index,
@@ -35,11 +44,14 @@ and the normal is the tangent rotated by -90 degrees.
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
+from .quadrature import TRI_6, tri_points
+
 __all__ = [
-    "Mesh", "MeshError", "RefineResult", "ElementGeometry",
+    "Mesh", "MeshError", "RefineResult",
     "create_initial", "refine", "uniform_refine", "overlay", "ancestor_map",
     "INITIAL_DOMAINS",
 ]
@@ -50,23 +62,15 @@ class MeshError(ValueError):
 
 
 @dataclass(frozen=True)
-class ElementGeometry:
-    """Per-element geometry bundle returned by :meth:`Mesh.element_geometry`."""
-    area: float
-    h: float                # mesh weight |T|^(1/2) used by the error estimator
-    diam: float
-    edge_ids: np.ndarray    # the three edges, local edge i opposite vertex i
-    edge_lengths: np.ndarray
-    edge_tangents: np.ndarray
-    edge_normals: np.ndarray
-    patch: np.ndarray       # ids of elements sharing an edge with T, T included
-
-
-@dataclass(frozen=True)
 class RefineResult:
     mesh: "Mesh"
     refined: np.ndarray     # ids (in the source mesh) of elements that were bisected
     marked: np.ndarray
+
+
+def _read_only(a):
+    a.flags.writeable = False
+    return a
 
 
 class Mesh:
@@ -106,7 +110,6 @@ class Mesh:
         self.generation = gen - ((self.node >> gen) == 0)
 
         self._build_edges()
-        self._areas = None
         if validate:
             self._audit()
         for a in (self.vertices, self.triangles, self.generation,
@@ -161,21 +164,21 @@ class Mesh:
         dot = np.einsum("tid,tid->ti", nrm, amid - opp)
         self.tri_edge_sign = np.where(dot > 0.0, 1, -1).astype(np.int64)
 
-        # incident elements per edge: slot 0 sees the normal as outward
+        # incident elements per edge: slot 0 sees the normal as outward.  A
+        # third element on an edge always takes a side already taken.
+        slot = 2 * self.tri_edges.ravel() + (self.tri_edge_sign.ravel() < 0)
         ne = self.edges.shape[0]
-        self.edge_tris = np.full((ne, 2), -1, dtype=np.int64)
-        counts = np.zeros(ne, dtype=np.int64)
-        for t in range(tri.shape[0]):
-            for i in range(3):
-                e = self.tri_edges[t, i]
-                slot = 0 if self.tri_edge_sign[t, i] > 0 else 1
-                if self.edge_tris[e, slot] != -1:
-                    raise MeshError(f"edge {e} claimed twice from the same side")
-                self.edge_tris[e, slot] = t
-                counts[e] += 1
-        if np.any(counts > 2):
-            raise MeshError("edge shared by more than two elements")
-        self.boundary_edge = counts == 1
+        claims = np.bincount(slot, minlength=2 * ne)
+        if np.any(claims > 1):
+            # report the first repeated claim in element order
+            again = np.ones(slot.size, dtype=bool)
+            again[np.unique(slot, return_index=True)[1]] = False
+            e = slot[np.argmax(again)] // 2
+            raise MeshError(f"edge {e} claimed twice from the same side")
+        edge_tris = np.full(2 * ne, -1, dtype=np.int64)
+        edge_tris[slot] = np.repeat(np.arange(tri.shape[0]), 3)
+        self.edge_tris = edge_tris.reshape(ne, 2)
+        self.boundary_edge = claims.reshape(ne, 2).sum(axis=1) == 1
 
     def _audit(self):
         if np.any(self.signed_areas() <= 0.0):
@@ -207,25 +210,22 @@ class Mesh:
         v = p[:, 2] - p[:, 0]
         return 0.5 * (u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0])
 
-    @property
+    @cached_property
     def areas(self):
-        if self._areas is None:
-            self._areas = np.abs(self.signed_areas())
-            self._areas.flags.writeable = False
-        return self._areas
+        return _read_only(np.abs(self.signed_areas()))
 
-    @property
-    def h(self):
-        """Estimator mesh weight per element, h_T = |T|^(1/2)."""
-        return np.sqrt(self.areas)
+    @cached_property
+    def centroids(self):
+        return _read_only(self.vertices[self.triangles].mean(axis=1))
+
+    @cached_property
+    def quad_points(self):
+        """Points of the 6-point rule ``TRI_6`` per element, shape (nt, 6, 2)."""
+        return _read_only(tri_points(TRI_6, self.vertices[self.triangles]))
 
     @property
     def diameters(self):
         return self.edge_lengths[self.tri_edges].max(axis=1)
-
-    @property
-    def centroids(self):
-        return self.vertices[self.triangles].mean(axis=1)
 
     def shape_regularity(self):
         """max_T diam(T)^2 / |T|, the constant audited along refinements."""
@@ -240,19 +240,6 @@ class Mesh:
                     ids.add(int(t))
         ids.add(int(elem))
         return np.array(sorted(ids), dtype=np.int64)
-
-    def element_geometry(self, elem):
-        eids = self.tri_edges[elem]
-        return ElementGeometry(
-            area=float(self.areas[elem]),
-            h=float(np.sqrt(self.areas[elem])),
-            diam=float(self.edge_lengths[eids].max()),
-            edge_ids=eids.copy(),
-            edge_lengths=self.edge_lengths[eids].copy(),
-            edge_tangents=self.edge_tangents[eids].copy(),
-            edge_normals=self.edge_normals[eids].copy(),
-            patch=self.patch(elem),
-        )
 
     # -- genealogy ---------------------------------------------------------
 
@@ -395,31 +382,21 @@ def _bisect_level(mesh, marked_ids):
     Returns the new mesh and, per new element, the index of the element of
     ``mesh`` it is or was split from.
     """
-    tri = mesh.triangles
     ref_edge = mesh.tri_edges[:, 0]
-
+    # closure: an element with any marked edge gets its refinement edge
+    # marked; each round visits the elements around the newly marked edges
     marked_edges = np.zeros(mesh.n_edges, dtype=bool)
-    stack = []
-    for t in marked_ids:
-        e = ref_edge[t]
-        if not marked_edges[e]:
-            marked_edges[e] = True
-            stack.append(e)
-    # closure: an element with any marked edge gets its refinement edge marked
-    while stack:
-        e = stack.pop()
-        for t in mesh.edge_tris[e]:
-            if t < 0:
-                continue
-            re = ref_edge[t]
-            if not marked_edges[re]:
-                marked_edges[re] = True
-                stack.append(re)
+    new = np.unique(ref_edge[marked_ids])
+    while new.size:
+        marked_edges[new] = True
+        t = mesh.edge_tris[new].ravel()
+        re = ref_edge[t[t >= 0]]
+        new = np.unique(re[~marked_edges[re]])
 
     # children lie one level deeper, two where a second edge is split too
-    marked_local = marked_edges[mesh.tri_edges]
-    deeper = 1 + (marked_local[:, 1] | marked_local[:, 2])
-    if np.any(marked_local[:, 0] & (mesh.node >= mesh._node_limit >> deeper)):
+    split, m1, m2 = marked_edges[mesh.tri_edges].T
+    deeper = 1 + (m1 | m2)
+    if np.any(split & (mesh.node >= mesh._node_limit >> deeper)):
         raise MeshError("bisection depth limit: node keys would overflow int64")
 
     marked_list = np.flatnonzero(marked_edges)
@@ -429,42 +406,34 @@ def _bisect_level(mesh, marked_ids):
                   + mesh.vertices[mesh.edges[marked_list, 1]])
     verts = np.vstack([mesh.vertices, mids])
 
-    out_tris, out_node, parent = [], [], []
-    for t, ((v0, v1, v2), (e0, e1, e2), n) in enumerate(zip(
-            tri.tolist(), mesh.tri_edges.tolist(), mesh.node.tolist())):
-        if not marked_edges[e0]:
-            if marked_edges[e1] or marked_edges[e2]:
-                raise MeshError("closure invariant violated")
-            out_tris.append((v0, v1, v2))
-            out_node.append(n)
-            parent.append(t)
-            continue
-        m0 = mid_id[e0]
-        # child 0 = (m0, v0, v1) owns parent edge (v0, v1) = local edge 2
-        if marked_edges[e2]:
-            m2 = mid_id[e2]
-            out_tris.extend([(m2, m0, v0), (m2, v1, m0)])
-            out_node.extend([4 * n, 4 * n + 1])
-            parent.extend([t, t])
-        else:
-            out_tris.append((m0, v0, v1))
-            out_node.append(2 * n)
-            parent.append(t)
-        # child 1 = (m0, v2, v0) owns parent edge (v2, v0) = local edge 1
-        if marked_edges[e1]:
-            m1 = mid_id[e1]
-            out_tris.extend([(m1, m0, v2), (m1, v0, m0)])
-            out_node.extend([4 * n + 2, 4 * n + 3])
-            parent.extend([t, t])
-        else:
-            out_tris.append((m0, v2, v0))
-            out_node.append(2 * n + 1)
-            parent.append(t)
-
-    parent = np.array(parent, dtype=np.int64)
-    new_mesh = Mesh(verts, np.array(out_tris, dtype=np.int64), root=mesh.root,
-                    root_elem=mesh.root_elem[parent],
-                    node=np.array(out_node, dtype=np.int64), validate=False)
+    # per element, in order: itself if kept; else child 0 = (m0, v0, v1),
+    # which owns local edge 2, or its two halves; then child 1 = (m0, v2, v0),
+    # which owns local edge 1, or its two halves.  Each piece gives the
+    # elements it applies to, its output row, its corners as columns
+    # v0, v1, v2, m0, m1, m2 of ``corner``, and its node scale * n + slot.
+    corner = np.column_stack([mesh.triangles, mid_id[mesh.tri_edges]])
+    n0 = 1 + (split & m2)
+    count = n0 + split + (split & m1)
+    first = np.cumsum(count) - count
+    second = first + n0
+    pieces = (
+        (~split, first, (0, 1, 2), 1, 0),
+        (split & ~m2, first, (3, 0, 1), 2, 0),
+        (split & m2, first, (5, 3, 0), 4, 0),
+        (split & m2, first + 1, (5, 1, 3), 4, 1),
+        (split & ~m1, second, (3, 2, 0), 2, 1),
+        (split & m1, second, (4, 3, 2), 4, 2),
+        (split & m1, second + 1, (4, 0, 3), 4, 3),
+    )
+    out_tris = np.empty((count.sum(), 3), dtype=np.int64)
+    out_node = np.empty(out_tris.shape[0], dtype=np.int64)
+    for sel, at, cols, scale, slot in pieces:
+        out_tris[at[sel]] = corner[sel][:, cols]
+        out_node[at[sel]] = scale * mesh.node[sel] + slot
+    parent = np.repeat(np.arange(mesh.n_elements), count)
+    new_mesh = Mesh(verts, out_tris, root=mesh.root,
+                    root_elem=mesh.root_elem[parent], node=out_node,
+                    validate=False)
     return new_mesh, parent
 
 

@@ -129,6 +129,8 @@ def test_custom_problem_run(tmp_path):
     ("run", "--eps", "nan"),
     ("run", "--gamma-grid", "nan"),
     ("verify", "--seed", "-1"),
+    ("run", "--mode", "two_step", "--eps", "0.2", "--estimator", "full"),
+    ("run", "--mode", "two_step", "--eps", "0.2", "--kappa", "0.5"),
 ])
 def test_bad_invocations_exit_2(argv, capsys):
     assert run_cli(*argv) == 2
@@ -152,6 +154,8 @@ def test_bad_invocations_exit_2(argv, capsys):
     "a.0 = nan\nproblem = custom\n",
     "a.0 = inf\nproblem = custom\n",
     "f.0.0 = nan\nproblem = custom\n",
+    "mode = two_step\neps = 0.2\nestimator = full\n",
+    "mode = two_step\neps = 0.2\nkappa = 0.5\n",
 ])
 def test_bad_config_files_exit_2(text, tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"

@@ -1,5 +1,7 @@
 """Mesh construction, bisection refinement, genealogy, overlay, and I/O."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 from amfem.mesh import (INITIAL_DOMAINS, Mesh, MeshError, ancestor_map,
                         create_initial, overlay, refine, uniform_refine)
+from amfem.quadrature import TRI_6, tri_points
 
 
 def random_descendant(root, rng, rounds, frac=0.35):
@@ -119,6 +122,59 @@ def test_refined_set_contains_marked():
         m = rr.mesh
 
 
+def graded_lshape(rounds=10):
+    """The L-shape refined ``rounds`` times towards its reentrant corner."""
+    mesh = create_initial("lshape")
+    for _ in range(rounds):
+        corner = np.all(mesh.vertices[mesh.triangles] == 0.0, axis=2)
+        mesh = refine(mesh, np.flatnonzero(corner.any(axis=1))).mesh
+    return mesh
+
+
+def pinned_meshes():
+    meshes = {d: uniform_refine(create_initial(d), 4)
+              for d in ("unit_square", "lshape", "checkerboard")}
+    meshes["graded_lshape"] = graded_lshape()
+    cb = uniform_refine(create_initial("checkerboard"), 2)
+    meshes["checkerboard_b2"] = refine(
+        cb, np.arange(0, cb.n_elements, 3), b=2).mesh
+    meshes["overlay"] = overlay(meshes["graded_lshape"], meshes["lshape"])
+    return meshes
+
+
+# sha256 of ``Mesh.dumps()``: vertex and element numbering, genealogy
+PINNED_DIGESTS = {
+    "unit_square":
+        "87399ea23666c8b58d27ddca7b3096564f1c0b9bc2afa0756920926930c43970",
+    "lshape":
+        "1a871a701f3e51bc98ea6ecb6f5f1d33622c5df31faa2c395f11204968334a9d",
+    "checkerboard":
+        "398556ee29c842a50ba75f131184930f57dd77a29536debd1602947993e6a231",
+    "graded_lshape":
+        "d0f2f623355f4a63eb98ba5b67f5e7cc8e735b4560c73c80db3e47f5cb5526d3",
+    "checkerboard_b2":
+        "14abb64a8a345d379b4b9a9f6e9cc63b5fe0568077db0a51a7b4f8ff4ac143d0",
+    "overlay":
+        "a29b0e8b7b0366d0f629f435d4c951e455f1ac7bcfef2d9ebc94a27be8cfd34a",
+}
+
+
+def test_refinement_order_is_pinned():
+    digests = {name: hashlib.sha256(m.dumps().encode()).hexdigest()
+               for name, m in pinned_meshes().items()}
+    assert digests == PINNED_DIGESTS
+
+
+def test_edge_incidence_matches_element_loop():
+    for m in pinned_meshes().values():
+        ref = np.full((m.n_edges, 2), -1)
+        for t in range(m.n_elements):
+            for e, sign in zip(m.tri_edges[t], m.tri_edge_sign[t]):
+                ref[e, 0 if sign > 0 else 1] = t
+        assert np.array_equal(m.edge_tris, ref)
+        assert np.array_equal(m.boundary_edge, np.any(ref < 0, axis=1))
+
+
 @settings(max_examples=15, deadline=None)
 @given(domain=st.sampled_from(sorted(INITIAL_DOMAINS)), data=st.data())
 def test_refine_genealogy_properties(domain, data):
@@ -207,14 +263,21 @@ def test_patch_contains_self_and_neighbors():
             assert shared.size == 1
 
 
-def test_element_geometry_consistency():
-    m = uniform_refine(create_initial("lshape"))
-    g = m.element_geometry(3)
-    assert g.area == pytest.approx(m.areas[3])
-    assert g.h == pytest.approx(np.sqrt(m.areas[3]))
-    assert g.diam == pytest.approx(m.diameters[3])
-    assert np.array_equal(g.edge_ids, m.tri_edges[3])
-    assert np.array_equal(g.patch, m.patch(3))
+def test_cached_geometry_is_shared_read_only_and_exact():
+    coarse = graded_lshape(rounds=3)
+    fine = uniform_refine(coarse)
+    for m in (coarse, fine):
+        expected = {
+            "quad_points": tri_points(TRI_6, m.vertices[m.triangles]),
+            "centroids": m.vertices[m.triangles].mean(axis=1),
+        }
+        for name, want in expected.items():
+            got = getattr(m, name)
+            assert getattr(m, name) is got
+            assert not got.flags.writeable
+            assert np.array_equal(got, want)
+    assert fine.quad_points.shape == (fine.n_elements, 6, 2)
+    assert fine.centroids.shape == (fine.n_elements, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -234,6 +297,28 @@ def test_reject_hanging_node():
     tris = np.array([[0, 1, 2], [0, 3, 4]])
     with pytest.raises(MeshError):
         Mesh(verts, tris)
+
+
+# two triangles above the edge (0, 1), one below it
+CLAIM_VERTS = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0],
+                        [0.5, -1.0]])
+
+
+def test_reject_edge_claimed_twice_from_one_side():
+    with pytest.raises(MeshError,
+                       match="^edge 0 claimed twice from the same side$"):
+        Mesh(CLAIM_VERTS, np.array([[0, 1, 2], [0, 1, 3]]))
+
+
+@pytest.mark.parametrize("tris", [
+    [[0, 1, 2], [1, 0, 4], [0, 1, 3]],
+    [[1, 0, 4], [0, 1, 2], [3, 0, 1]],
+])
+def test_reject_edge_with_three_elements(tris):
+    # a third element on an edge always repeats one side's claim
+    with pytest.raises(MeshError,
+                       match="^edge 0 claimed twice from the same side$"):
+        Mesh(CLAIM_VERTS, np.array(tris))
 
 
 def test_reject_duplicate_edge_use():
