@@ -58,7 +58,6 @@ class MarkSet:
     ranked: np.ndarray
     marked_sum: float
     total_sum: float
-    theta: float
     all_zero: bool = False
 
 
@@ -78,15 +77,13 @@ def dorfler_mark(eta2, theta):
     if total <= 0.0:
         return MarkSet(ids=np.empty(0, dtype=np.int64),
                        ranked=np.empty(0, dtype=np.int64),
-                       marked_sum=0.0, total_sum=0.0,
-                       theta=theta, all_zero=True)
+                       marked_sum=0.0, total_sum=0.0, all_zero=True)
     thr = theta * theta * total
     k = int(np.searchsorted(csum, thr, side="left")) + 1
     k = min(k, n)
     ranked = order[:k]
     return MarkSet(ids=np.sort(ranked), ranked=ranked,
-                   marked_sum=float(csum[k - 1]), total_sum=total,
-                   theta=theta)
+                   marked_sum=float(csum[k - 1]), total_sum=total)
 
 
 @dataclass

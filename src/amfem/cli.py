@@ -82,7 +82,7 @@ class RunConfig:
     """Validated inputs of one ``run`` invocation."""
 
     problem: str = "square_sine"
-    domain: str = "unit_square"
+    domain: str = None            # a built-in problem's own, else unit_square
     theta: float = 0.5
     kappa: float = 1.0
     b: int = 1
@@ -100,6 +100,14 @@ class RunConfig:
             raise ConfigError(
                 "unknown problem %r; builtins: %s (or 'custom')"
                 % (self.problem, ", ".join(sorted(BUILTIN_PROBLEMS))))
+        if self.problem != "custom":
+            own = BUILTIN_PROBLEMS[self.problem]().domain
+            if self.domain not in (None, own):
+                raise ConfigError("problem %r runs on domain %r, got %r"
+                                  % (self.problem, own, self.domain))
+            self.domain = own
+        elif self.domain is None:
+            self.domain = "unit_square"
         if self.domain not in INITIAL_DOMAINS:
             raise ConfigError("unknown domain %r; choose from %s"
                               % (self.domain, ", ".join(INITIAL_DOMAINS)))
@@ -407,16 +415,17 @@ def cmd_run(args):
         problem = make_custom_problem(cfg.coeffs, cfg.domain)
     else:
         problem = builtin(cfg.problem)
-        cfg.domain = problem.domain
     n_flux0 = create_initial(cfg.domain).n_edges
     if cfg.max_dofs < n_flux0:
         raise ConfigError("max_dofs %d is below the %d flux dofs of the "
                           "initial %s mesh" % (cfg.max_dofs, n_flux0,
                                                cfg.domain))
+    try:
+        os.makedirs(cfg.out, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError("cannot create output directory: %s" % exc)
 
     trace = _run_trace(cfg, problem)
-
-    os.makedirs(cfg.out, exist_ok=True)
     trace.to_csv(os.path.join(cfg.out, "trace.csv"))
     state = trace.states[-1]
     state.mesh.save(os.path.join(cfg.out, "final_mesh.txt"))

@@ -82,12 +82,10 @@ _TRACE_PULL = 1e-8
 class IndicatorReport:
     """Per-element squared indicator terms plus their ordered global sum."""
     mesh: object
-    estimator: str
     data2: np.ndarray
     curl2: np.ndarray
     jump2: np.ndarray
     disp2: np.ndarray = None      # full estimator only
-    kappa: float = None
     eta2_elem: np.ndarray = dc_field(default=None)
     eta2: float = dc_field(default=None)
 
@@ -111,21 +109,17 @@ class IndicatorReport:
 @dataclass(frozen=True)
 class OscReport:
     """Oscillation terms; same weights and counting as the estimator terms."""
-    mesh: object
     curl_osc2: np.ndarray
     jump_osc2: np.ndarray
     data_osc2: np.ndarray
     disp_osc2: np.ndarray
     osc2: float = dc_field(default=None)        # curl + jump + data
     osc_f2: float = dc_field(default=None)      # data only: osc(f, T)^2
-    osc_tilde2: float = dc_field(default=None)  # curl + jump + displacement
 
     def __post_init__(self):
         object.__setattr__(self, "osc2", ordered_sum(
             self.curl_osc2 + self.jump_osc2 + self.data_osc2))
         object.__setattr__(self, "osc_f2", ordered_sum(self.data_osc2))
-        object.__setattr__(self, "osc_tilde2", ordered_sum(
-            self.curl_osc2 + self.jump_osc2 + self.disp_osc2))
 
 
 def _as_field(mesh, sol_or_field):
@@ -243,7 +237,7 @@ def indicators_stress(mesh, sol_or_field, problem, f_elem=None):
     _, curl = _element_samples(mesh, fld, problem)
     jumps = _edge_jumps(mesh, fld, problem, EDGE_3)
     return IndicatorReport(
-        mesh=mesh, estimator="stress",
+        mesh=mesh,
         data2=data_osc_elem(problem.f, mesh, f_elem),
         curl2=_element_term(mesh, curl),
         jump2=_edge_term(mesh, jumps, EDGE_3))
@@ -264,7 +258,7 @@ def indicators_full(mesh, sol, problem, kappa=1.0):
         + fld.div[:, None]
     jumps = _edge_jumps(mesh, fld, problem, EDGE_3)
     return IndicatorReport(
-        mesh=mesh, estimator="full", kappa=kappa,
+        mesh=mesh,
         data2=((resid ** 2) @ TRI_6[1]) * mesh.areas ** kappa * mesh.areas,
         curl2=_element_term(mesh, curl),
         jump2=_edge_term(mesh, jumps, EDGE_3),
@@ -275,14 +269,13 @@ def oscillations(mesh, sol_or_field, problem, f_elem=None):
     """Oscillation terms of the stress estimator, elementwise.
 
     ``osc2`` collects curl, jump and data parts; ``osc_f2`` is the pure
-    data oscillation ||h (f - f_h)||^2; ``osc_tilde2`` swaps the data part
-    for the displacement residual part.
+    data oscillation ||h (f - f_h)||^2; ``disp_osc2`` holds the
+    displacement residual part per element.
     """
     fld = _as_field(mesh, sol_or_field)
     aq, curl = _element_samples(mesh, fld, problem)
     jumps = _edge_jumps(mesh, fld, problem, EDGE_5) @ _P2_EDGE_RESIDUAL.T
     return OscReport(
-        mesh=mesh,
         curl_osc2=_element_term(mesh, _p1_residual(curl)),
         jump_osc2=_edge_term(mesh, jumps, EDGE_5),
         data_osc2=data_osc_elem(problem.f, mesh, f_elem),

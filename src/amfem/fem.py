@@ -19,9 +19,7 @@ The saddle-point system
     [ M   B^T ] [ p ]   [ rhs_flux ]
     [ B    0  ] [ u ] = [ rhs_div  ]
 
-is solved by a sparse direct factorization of the full indefinite matrix;
-an iterative Schur-complement solver is available behind the same
-interface and residual contract.
+is solved by one sparse LU factorization of the full indefinite matrix.
 """
 
 import numpy as np
@@ -242,9 +240,8 @@ class MixedSolution:
     div_defect : max_T |div p_h + f_h|, the divergence-exactness defect
     """
 
-    def __init__(self, mesh, dofmap, p, u, f_elem, residual_inf):
+    def __init__(self, mesh, p, u, f_elem, residual_inf):
         self.mesh = mesh
-        self.dofmap = dofmap
         self.p = p
         self.u = u
         self.f_elem = f_elem
@@ -266,69 +263,43 @@ class MixedSolution:
         return float(np.abs(self.div + self.f_elem).max())
 
 
-def solve(system, f_elem, method="direct"):
-    """Solve the saddle-point system.
+def solve(system, f_elem):
+    """Solve the saddle-point system by one sparse LU factorization.
 
     The residual contract ``||K x - rhs||_inf <= 1e-10 (1 + ||rhs||_inf)``
-    is enforced for every method; a violation raises :class:`SolverError`.
+    is enforced; a violation raises :class:`SolverError`.
     """
     K = system.full_matrix()
     rhs = system.full_rhs()
     ne = system.M.shape[0]
+    mesh = system.dofmap.mesh
 
-    if method == "direct":
-        # scale the balance rows to unit element area before factorizing;
-        # otherwise the residual of those rows, divided by tiny areas on
-        # graded meshes, surfaces as a divergence defect
-        scale = np.ones(K.shape[0])
-        scale[ne:] = 1.0 / system.dofmap.mesh.areas
-        Ks = K.multiply(scale[:, None]).tocsc()
-        rhs_s = rhs * scale
-        try:
-            lu = spla.splu(Ks)
-        except RuntimeError as exc:
-            raise SolverError(f"sparse factorization failed: {exc}") from exc
-        x = lu.solve(rhs_s)
-        # up to two rounds of iterative refinement
-        for _ in range(2):
-            r = rhs_s - Ks @ x
-            if np.abs(r).max() <= 1e-16 * (1.0 + np.abs(rhs_s).max()):
-                break
-            x = x + lu.solve(r)
-    elif method == "schur":
-        x = _solve_schur(system, rhs)
-    else:
-        raise SolverError(f"unknown solver method {method!r}")
+    # scale the balance rows to unit element area before factorizing;
+    # otherwise the residual of those rows, divided by tiny areas on
+    # graded meshes, surfaces as a divergence defect
+    scale = np.ones(K.shape[0])
+    scale[ne:] = 1.0 / mesh.areas
+    Ks = K.multiply(scale[:, None]).tocsc()
+    rhs_s = rhs * scale
+    try:
+        lu = spla.splu(Ks)
+    except RuntimeError as exc:
+        raise SolverError(f"sparse factorization failed: {exc}") from exc
+    x = lu.solve(rhs_s)
+    # up to two rounds of iterative refinement
+    for _ in range(2):
+        r = rhs_s - Ks @ x
+        if np.abs(r).max() <= 1e-16 * (1.0 + np.abs(rhs_s).max()):
+            break
+        x = x + lu.solve(r)
 
     residual = float(np.abs(K @ x - rhs).max())
     if not np.isfinite(residual) or residual > RESIDUAL_TOL * (1.0 + np.abs(rhs).max()):
         raise SolverError(
-            f"solver residual {residual:.3e} violates the contract "
-            f"(method={method})")
+            f"solver residual {residual:.3e} violates the contract")
 
-    mesh = system.dofmap.mesh
-    return MixedSolution(mesh, system.dofmap, x[:ne], x[ne:],
+    return MixedSolution(mesh, x[:ne], x[ne:],
                          np.asarray(f_elem, dtype=np.float64), residual)
-
-
-def _solve_schur(system, rhs):
-    """Schur-complement fallback: CG on B M^-1 B^T with a factorized M."""
-    ne = system.M.shape[0]
-    nt = system.B.shape[0]
-    Minv = spla.factorized(system.M.tocsc())
-    B = system.B.tocsr()
-    BT = B.T.tocsr()
-
-    def schur_mv(u):
-        return B @ Minv(BT @ u)
-
-    S = spla.LinearOperator((nt, nt), matvec=schur_mv)
-    srhs = B @ Minv(rhs[:ne]) - rhs[ne:]
-    u, info = spla.cg(S, srhs, rtol=1e-14, atol=0.0, maxiter=20 * nt)
-    if info != 0:
-        raise SolverError(f"Schur-complement CG did not converge (info={info})")
-    p = Minv(rhs[:ne] - BT @ u)
-    return np.concatenate([p, u])
 
 
 def rt0_interpolate(mesh, p_exact):

@@ -218,9 +218,7 @@ def _errors_vs_exact(sol, problem):
 
     perr = np.asarray(problem.exact_p(flat)).reshape(pts.shape) - sol.field.eval(
         np.arange(mesh.n_elements), pts)
-    ainv = np.asarray(problem.A_inv(flat)).reshape(pts.shape[0], pts.shape[1], 2, 2)
-    dens = np.einsum("tqa,tqab,tqb->tq", perr, ainv, perr)
-    flux2 = ordered_sum((dens @ w) * mesh.areas)
+    flux2 = _flux_norm2(problem, mesh, pts, perr)
 
     fv = eval_f_on_elements(problem.f, mesh, pts)
     ddiff = -fv - sol.div[:, None]          # div p = -f pointwise
@@ -251,6 +249,11 @@ def flux_dist2(problem, mesh, field_a, field_b):
     pts = tri_points(TRI_7, mesh.vertices[mesh.triangles])
     ids = np.arange(mesh.n_elements)
     d = field_a.eval(ids, pts) - field_b.eval(ids, pts)
+    return _flux_norm2(problem, mesh, pts, d)
+
+
+def _flux_norm2(problem, mesh, pts, d):
+    """||A^(-1/2) d||^2 from flux samples ``d`` at the TRI_7 points ``pts``."""
     ainv = np.asarray(problem.A_inv(pts.reshape(-1, 2))).reshape(
         pts.shape[0], pts.shape[1], 2, 2)
     dens = np.einsum("tqa,tqab,tqb->tq", d, ainv, d)

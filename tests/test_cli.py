@@ -2,6 +2,11 @@
 
 import functools
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +16,8 @@ import amfem.cli as cli
 from amfem.cli import (ConfigError, load_config, main, make_custom_problem)
 from amfem.fem import SolverError
 from amfem.verify import CheckResult
+
+ROOT = Path(__file__).resolve().parent.parent
 
 ARTIFACTS = ("trace.csv", "trace.meta.json", "final_mesh.txt",
              "solution_elements.csv", "solution_flux.csv",
@@ -156,12 +163,38 @@ def test_bad_invocations_exit_2(argv, capsys):
     "f.0.0 = nan\nproblem = custom\n",
     "mode = two_step\neps = 0.2\nestimator = full\n",
     "mode = two_step\neps = 0.2\nkappa = 0.5\n",
+    "problem = square_sine\ndomain = lshape\n",   # not the problem's domain
 ])
 def test_bad_config_files_exit_2(text, tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(text)
     assert run_cli("run", "--config", str(cfg)) == 2
     assert "error=config" in capsys.readouterr().err
+
+
+def test_domain_defaults_to_the_problems_own(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("problem = lshape_singular\ndomain = lshape\n")
+    assert load_config(str(cfg)).domain == "lshape"
+    assert load_config(None, {"problem": "checkerboard"}).domain \
+        == "checkerboard"
+    assert load_config(None, {"problem": "custom"}).domain == "unit_square"
+
+
+def test_out_naming_a_file_exits_2_before_running(tmp_path, monkeypatch,
+                                                   capsys):
+    def never(*args, **kwargs):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(cli, "amfem", never)
+    out = tmp_path / "taken"
+    out.write_text("not a directory\n")
+    assert run_cli("run", "--problem", "square_sine", "--max-dofs", "200",
+                   "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("amfem: error=config detail=")
+    assert err.count("\n") == 1
+    assert out.read_text() == "not a directory\n"
 
 
 def test_non_utf8_config_file_exits_2(tmp_path, capsys):
@@ -283,6 +316,29 @@ def test_verify_failure_exits_4(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert "1 checks, 1 failed" in captured.out
     assert "error=verification" in captured.err
+
+
+# ---------------------------------------------------------------------------
+# benchmark harness
+
+
+def test_traced_benchmark_worker_runs(tmp_path):
+    # perfbench/tracer.py patches amfem.adapt's module globals and reads the
+    # results' fields; a traced run fails here if one of those goes away
+    spec = {"problem": "square_sine", "max_dofs": 300, "trace": True,
+            "argv": ["--problem", "square_sine", "--theta", "0.5",
+                     "--max-dofs", "300", "--out", str(tmp_path / "out")],
+            "launched": time.monotonic()}
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "worker.py"),
+         json.dumps(spec)],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert out["rc"] == 0
+    assert "layers" in out
+    assert out["layers"]["fem.solve_s"] > 0.0
 
 
 # ---------------------------------------------------------------------------

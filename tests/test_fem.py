@@ -8,9 +8,8 @@ import pytest
 
 import amfem.quadrature as quad
 from amfem.adapt import solve_on
-from amfem.fem import (FluxField, MixedSolution, PwConstData, SolverError,
-                       assemble, build_dofmap, project_f, rt0_interpolate,
-                       solve)
+from amfem.fem import (FluxField, MixedSolution, PwConstData, assemble,
+                       build_dofmap, project_f, rt0_interpolate, solve)
 from amfem.mesh import ancestor_map, create_initial, refine, uniform_refine
 from amfem.problems import ProblemSpec, builtin, exact_errors
 
@@ -157,24 +156,16 @@ def test_residual_contract():
     assert sol.residual_inf <= bound
 
 
-def test_schur_matches_direct():
+def test_solve_matches_dense_solve():
     p = builtin("square_sine")
     m = uniform_refine(create_initial("unit_square"), 3)
     fe = project_f(p.f, m)
-    a = solve_on(p, m)
-    b = solve(assemble(m, build_dofmap(m), p, fe), fe, method="schur")
-    assert np.allclose(b.p, a.p, atol=1e-10 * (1 + np.abs(a.p).max()))
-    assert np.allclose(b.u, a.u, atol=1e-10 * (1 + np.abs(a.u).max()))
-
-
-def test_unknown_solver_method():
-    p = builtin("square_sine")
-    m = create_initial("unit_square")
-    dm = build_dofmap(m)
-    fe = project_f(p.f, m)
-    sys = assemble(m, dm, p, fe)
-    with pytest.raises(SolverError):
-        solve(sys, fe, method="cholesky")
+    sys = assemble(m, build_dofmap(m), p, fe)
+    a = solve(sys, fe)
+    x = np.linalg.solve(sys.full_matrix().toarray(), sys.full_rhs())
+    p_ref, u_ref = x[:m.n_edges], x[m.n_edges:]
+    assert np.allclose(a.p, p_ref, atol=1e-10 * (1 + np.abs(p_ref).max()))
+    assert np.allclose(a.u, u_ref, atol=1e-10 * (1 + np.abs(u_ref).max()))
 
 
 # ---------------------------------------------------------------------------
