@@ -39,7 +39,10 @@ __all__ = [
 ]
 
 DEFAULT_GAMMA_GRID = tuple(np.logspace(-3.0, 1.0, 13))
-REFERENCE_LEVELS = 2
+MAX_ITER = 100            # refinements per phase of a run
+THETA_DATA = 0.6          # bulk parameter of the data-approximation marking
+REFERENCE_LEVELS = 2      # uniform refinements behind a reference solution
+BURN_IN = 2               # leading trace rows left out of a rate fit
 
 TRACE_COLUMNS = ("k", "n_elem", "n_flux_dofs", "eta2", "osc2", "osc_f2",
                  "n_marked", "E2", "quasi_err", "secs")
@@ -62,7 +65,7 @@ class MarkSet:
 
 
 class DataApproxError(RuntimeError):
-    """Raised when the data approximation exhausts its max_iter steps."""
+    """Raised when the data approximation exhausts its MAX_ITER steps."""
 
 
 def dorfler_mark(eta2, theta):
@@ -73,7 +76,7 @@ def dorfler_mark(eta2, theta):
     n = eta2.shape[0]
     order = np.lexsort((np.arange(n), -eta2))
     csum = np.cumsum(eta2[order])
-    total = float(csum[-1])
+    total = float(csum[-1]) if n else 0.0
     if total <= 0.0:
         return MarkSet(ids=np.empty(0, dtype=np.int64),
                        ranked=np.empty(0, dtype=np.int64),
@@ -162,15 +165,27 @@ def _measure(sol, problem, errors_vs):
     return None
 
 
-def amfem(problem, eps=0.0, theta=0.5, b=1, max_dofs=100_000, max_iter=100,
-          mode="adaptive", estimator="stress", kappa=1.0, gamma=1.0,
-          mesh0=None, errors="auto", keep=False, errors_vs=None):
+def _refine_within(mesh, marked, b, max_dofs):
+    """The one refinement step of both phases: bisect the ``marked`` elements
+    ``b`` times each.  ``None`` ends the phase: nothing is marked, or the
+    refined mesh would exceed ``max_dofs`` flux dofs (the refinement is then
+    dropped, so the budget holds strictly)."""
+    if marked.size == 0:
+        return None
+    rr = refine(mesh, marked, b=b)
+    return rr if rr.mesh.n_edges <= max_dofs else None
+
+
+def amfem(problem, eps=0.0, theta=0.5, b=1, max_dofs=100_000, mode="adaptive",
+          estimator="stress", kappa=1.0, gamma=1.0, mesh0=None, errors="auto",
+          keep=False, errors_vs=None):
     """Run the adaptive (or uniform) loop and return its trace.
 
     Parameters
     ----------
     eps : stopping tolerance on the global estimator; the loop runs while
-        ``eta_k >= eps`` and stops at the first iterate with ``eta_k < eps``.
+        ``eta_k >= eps`` and stops at the first iterate with ``eta_k < eps``,
+        at the flux-dof budget ``max_dofs`` or after ``MAX_ITER`` refinements.
     b : bisections per marked element.
     mode : "adaptive" (bulk marking) or "uniform" (every element marked).
     errors : "auto" measures against the closed-form solution when one
@@ -198,15 +213,14 @@ def amfem(problem, eps=0.0, theta=0.5, b=1, max_dofs=100_000, max_iter=100,
     }
     trace = AdaptTrace(meta)
 
-    k = 0
-    while True:
+    for k in range(MAX_ITER + 1):
         t0 = time.perf_counter()
         sol = solve_on(problem, mesh)
         if estimator == "stress":
-            report = indicators_stress(mesh, sol, problem, sol.f_elem)
+            report = indicators_stress(mesh, sol, problem)
         else:
             report = indicators_full(mesh, sol, problem, kappa)
-        osc = oscillations(mesh, sol, problem, sol.f_elem)
+        osc = oscillations(mesh, sol, problem)
 
         et = _measure(sol, problem, errors_vs) if errors == "auto" else None
         row = {
@@ -216,41 +230,28 @@ def amfem(problem, eps=0.0, theta=0.5, b=1, max_dofs=100_000, max_iter=100,
             "E2": None if et is None else et.E2,
             "quasi_err": None if et is None else et.E2 + gamma * report.eta2,
             "secs": None,
-            "phase": "amfem",
         }
         if et is not None:
             row["flux_err2"] = et.flux2
-            row["div_err2"] = et.div2
-            row["disp_err2"] = et.disp2
         state = IterationState(k=k, mesh=mesh, sol=sol, report=report, osc=osc)
 
-        stop = (eps > 0.0 and report.eta < eps) \
-            or mesh.n_edges >= max_dofs or k >= max_iter
-        if not stop:
-            if mode == "uniform":
-                marked = np.arange(mesh.n_elements)
-                ms = None
-            else:
-                ms = dorfler_mark(report.eta2_elem, theta)
-                marked = ms.ids
-                if marked.size == 0:
-                    stop = True
-            if not stop:
-                rr = refine(mesh, marked, b=b)
-                if rr.mesh.n_edges > max_dofs:
-                    # budget respected strictly: drop the refinement and stop
-                    stop = True
-                else:
-                    row["n_marked"] = int(marked.size)
-                    state.markset = ms
-                    state.refined = rr.refined
-                    mesh = rr.mesh
+        rr = None
+        if not (eps > 0.0 and report.eta < eps) \
+                and mesh.n_edges < max_dofs and k < MAX_ITER:
+            ms = None if mode == "uniform" \
+                else dorfler_mark(report.eta2_elem, theta)
+            marked = np.arange(mesh.n_elements) if ms is None else ms.ids
+            rr = _refine_within(mesh, marked, b, max_dofs)
+        if rr is not None:
+            row["n_marked"] = int(rr.marked.size)
+            state.markset = ms
+            state.refined = rr.refined
+            mesh = rr.mesh
 
         row["secs"] = time.perf_counter() - t0
         trace.append(row, state if keep_states else None)
-        if stop:
+        if rr is None:
             break
-        k += 1
 
     if errors == "reference":
         _backfill_reference(trace, problem, gamma, errors_vs)
@@ -267,53 +268,48 @@ def _backfill_reference(trace, problem, gamma, errors_vs):
         row["E2"] = et.E2
         row["quasi_err"] = et.E2 + gamma * row["eta2"]
         row["flux_err2"] = et.flux2
-        row["div_err2"] = et.div2
-        row["disp_err2"] = et.disp2
         row["surrogate"] = True
     trace.meta["reference_levels"] = REFERENCE_LEVELS
     trace.meta["reference_n_elem"] = ref_sol.mesh.n_elements
 
 
-def _approx_rows(f, mesh0, eps, theta_data, b, max_iter, max_dofs):
+def _approx_rows(f, mesh0, eps, b, max_dofs):
     mesh = mesh0
     rows = []
-    for k in range(max_iter + 1):
+    for k in range(MAX_ITER + 1):
         t0 = time.perf_counter()
         osc2_elem = data_osc_elem(f, mesh)
         osc2 = ordered_sum(osc2_elem)
         row = {"k": k, "n_elem": mesh.n_elements, "n_flux_dofs": mesh.n_edges,
                "eta2": None, "osc2": osc2, "osc_f2": osc2, "n_marked": 0,
-               "E2": None, "quasi_err": None, "secs": None, "phase": "approx"}
+               "E2": None, "quasi_err": None, "secs": None}
         rows.append(row)
         rr = None
         if np.sqrt(osc2) > eps and mesh.n_edges < max_dofs:
-            ms = dorfler_mark(osc2_elem, theta_data)
-            if ms.ids.size:
-                rr = refine(mesh, ms.ids, b=b)
-        # the budget is respected strictly, as in the adaptive loop: a
-        # refinement that overshoots it is dropped and the phase stops
-        if rr is not None and rr.mesh.n_edges <= max_dofs:
-            row["n_marked"] = int(ms.ids.size)
+            rr = _refine_within(mesh, dorfler_mark(osc2_elem, THETA_DATA).ids,
+                                b, max_dofs)
+        if rr is not None:
+            row["n_marked"] = int(rr.marked.size)
         row["secs"] = time.perf_counter() - t0
-        if row["n_marked"] == 0:
+        if rr is None:
             return mesh, rows
         mesh = rr.mesh
     raise DataApproxError(
-        f"data approximation did not reach osc <= {eps} in {max_iter} steps")
+        f"data approximation did not reach osc <= {eps} in {MAX_ITER} steps")
 
 
-def approx_data(f, mesh0, tol, theta_data=0.6, b=1, max_iter=200):
+def approx_data(f, mesh0, tol):
     """Refine ``mesh0`` until the data oscillation of f drops below ``tol``.
 
     Greedy bulk marking on the per-element oscillation contributions with
-    parameter ``theta_data``.
+    parameter ``THETA_DATA``, one bisection per marked element.
     """
-    mesh, _ = _approx_rows(f, mesh0, tol, theta_data, b, max_iter, np.inf)
+    mesh, _ = _approx_rows(f, mesh0, tol, 1, np.inf)
     return mesh
 
 
-def two_step(problem, eps, theta=0.5, b=1, theta_data=0.6, max_dofs=100_000,
-             max_iter=100, gamma=1.0, keep=False):
+def two_step(problem, eps, theta=0.5, b=1, max_dofs=100_000, gamma=1.0,
+             keep=False):
     """Data approximation followed by the adaptive loop, each with eps/2.
 
     The second phase solves with the projected data, whose oscillation
@@ -322,8 +318,7 @@ def two_step(problem, eps, theta=0.5, b=1, theta_data=0.6, max_dofs=100_000,
     within ``max_dofs`` flux dofs.
     """
     mesh0 = create_initial(problem.domain)
-    mesh_h, rows1 = _approx_rows(problem.f, mesh0, 0.5 * eps, theta_data, b,
-                                 max_iter, max_dofs)
+    mesh_h, rows1 = _approx_rows(problem.f, mesh0, 0.5 * eps, b, max_dofs)
     if isinstance(problem.f, PwConstData):
         f_data = problem.f
     else:
@@ -332,11 +327,10 @@ def two_step(problem, eps, theta=0.5, b=1, theta_data=0.6, max_dofs=100_000,
     # the adaptive phase continues on the data-approximation mesh, where
     # the projected source is resolved exactly
     trace = amfem(mod, eps=0.5 * eps, theta=theta, b=b, max_dofs=max_dofs,
-                  max_iter=max_iter, gamma=gamma, keep=keep,
-                  mesh0=mesh_h, errors_vs=problem)
+                  gamma=gamma, keep=keep, mesh0=mesh_h, errors_vs=problem)
     trace.meta.update({
         "problem": problem.name, "mode": "two_step", "eps": eps,
-        "approx_rows": len(rows1), "theta_data": theta_data,
+        "approx_rows": len(rows1), "theta_data": THETA_DATA,
     })
     offset = len(rows1)
     for r in trace.rows:
@@ -357,19 +351,18 @@ class RateFit:
         return (self.rate - 2.0 * self.stderr, self.rate + 2.0 * self.stderr)
 
 
-def fit_rate(trace, quantity="flux_err", burn_in=2):
+def fit_rate(trace, quantity="flux_err"):
     """Fit error ~ C (n_elem - n_elem_0)^(-s); returns s with its stderr.
 
-    ``quantity`` selects a squared trace column ("flux_err", "E", "eta",
-    "osc_f" map to their ``*2`` columns and are square-rooted first).
+    ``quantity`` is "flux_err" or "eta", whose squared trace column is
+    square-rooted first; the first ``BURN_IN`` rows are left out.
     """
-    key = {"flux_err": "flux_err2", "E": "E2", "eta": "eta2",
-           "osc_f": "osc_f2", "osc": "osc2"}.get(quantity)
+    key = {"flux_err": "flux_err2", "eta": "eta2"}.get(quantity)
     if key is None:
         raise ValueError(f"unknown quantity {quantity!r}")
     n0 = trace.rows[0]["n_elem"]
     xs, ys = [], []
-    for r in trace.rows[burn_in:]:
+    for r in trace.rows[BURN_IN:]:
         v = r.get(key)
         n = r["n_elem"] - n0
         if v is not None and np.isfinite(v) and v > 0.0 and n > 0:
@@ -382,15 +375,15 @@ def fit_rate(trace, quantity="flux_err", burn_in=2):
                    n_points=len(xs))
 
 
-def contraction_scan(trace, gammas=DEFAULT_GAMMA_GRID, start=0):
+def contraction_scan(trace, gammas=DEFAULT_GAMMA_GRID):
     """Scan gamma for the best uniform quasi-error contraction factor.
 
     For each gamma the quasi-error is E2_k + gamma * eta2_k; returns the
     gamma minimizing the maximal consecutive ratio, that ratio and the
     per-gamma table.
     """
-    E2 = trace.column("E2")[start:]
-    eta2 = trace.column("eta2")[start:]
+    E2 = trace.column("E2")
+    eta2 = trace.column("eta2")
     ok = np.isfinite(E2) & np.isfinite(eta2)
     E2, eta2 = E2[ok], eta2[ok]
     if E2.size < 2:
@@ -403,6 +396,6 @@ def contraction_scan(trace, gammas=DEFAULT_GAMMA_GRID, start=0):
     return best, table[best], table
 
 
-def make_reference(problem, mesh, levels=REFERENCE_LEVELS):
-    """Solve once on ``levels`` uniform refinements of ``mesh``."""
-    return solve_on(problem, uniform_refine(mesh, levels))
+def make_reference(problem, mesh):
+    """Solve once on ``REFERENCE_LEVELS`` uniform refinements of ``mesh``."""
+    return solve_on(problem, uniform_refine(mesh, REFERENCE_LEVELS))

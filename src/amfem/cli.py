@@ -16,9 +16,10 @@ Two subcommands:
     check with the measured constant and its frozen bound.
 
 Configuration is flag-driven; ``--config FILE`` reads the same keys from
-a flat ``key = value`` text file (flags win over file values).  Custom
-problems use ``problem = custom`` together with per-macro-element
-coefficients on the chosen initial mesh:
+a flat ``key = value`` text file (flags win over file values), where
+``domain``, ``gamma`` and the coefficient keys below are file-only.  Flag
+abbreviations are refused.  Custom problems use ``problem = custom``
+together with per-macro-element coefficients on the chosen initial mesh:
 
     a.R       constant diffusion a on initial element R (A = a * I there)
     f.I.J     global source term coefficient of x^I * y^J
@@ -485,13 +486,17 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser():
-    p = _Parser(prog="amfem", description=__doc__.splitlines()[0])
+    # no abbreviations: a prefix such as --gamma would silently set
+    # --gamma-grid instead of being refused as an unknown flag
+    p = _Parser(prog="amfem", description=__doc__.splitlines()[0],
+                allow_abbrev=False)
     p.add_argument("--version", action="version",
                    version="amfem %s" % __version__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    r = sub.add_parser("run", help="run one adaptive / uniform / two_step "
-                                   "study and write artifacts")
+    r = sub.add_parser("run", allow_abbrev=False,
+                       help="run one adaptive / uniform / two_step "
+                            "study and write artifacts")
     r.add_argument("--problem", help="builtin problem name or 'custom'")
     r.add_argument("--config", help="flat key=value configuration file")
     r.add_argument("--theta", type=float, help="bulk marking fraction in (0,1]")
@@ -508,7 +513,8 @@ def _build_parser():
     r.add_argument("--out", help="output directory")
     r.set_defaults(func=cmd_run)
 
-    v = sub.add_parser("verify", help="run the built-in verification suites")
+    v = sub.add_parser("verify", allow_abbrev=False,
+                       help="run the built-in verification suites")
     v.add_argument("suite", nargs="*",
                    help="suite names (default: all); choose from %s"
                    % ", ".join(SUITE_NAMES + ("all",)))

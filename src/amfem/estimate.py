@@ -61,8 +61,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .fem import (FluxField, MixedSolution, PwConstData, eval_f_on_elements,
-                  project_f)
+from .fem import FluxField, MixedSolution, PwConstData, eval_f_on_elements
 from .mesh import MeshError
 from .quadrature import TRI_6, EDGE_3, EDGE_5, edge_points
 from .util import ordered_sum
@@ -217,28 +216,27 @@ def _edge_term(mesh, jumps, rule):
     return np.sqrt(mesh.areas) * edge_int[mesh.tri_edges].sum(axis=1)
 
 
-def data_osc_elem(f, mesh, f_elem=None):
+def data_osc_elem(f, mesh):
     """Per-element squared data oscillation h_T^2 ||f - f_h||_T^2.
 
-    Exactly zero for mesh-attached constant data.  ``f_elem`` (the cellwise
-    means of f) is computed when not given.
+    Exactly zero for mesh-attached constant data.  The cellwise mean f_h
+    comes from the same 6-point samples, as in ``fem.project_f``.
     """
     if isinstance(f, PwConstData):
         return np.zeros(mesh.n_elements)
-    if f_elem is None:
-        f_elem = project_f(f, mesh)
     fv = eval_f_on_elements(f, mesh, mesh.quad_points)
-    return ((fv - f_elem[:, None]) ** 2 @ TRI_6[1]) * mesh.areas ** 2
+    f_h = fv @ TRI_6[1]
+    return ((fv - f_h[:, None]) ** 2 @ TRI_6[1]) * mesh.areas ** 2
 
 
-def indicators_stress(mesh, sol_or_field, problem, f_elem=None):
+def indicators_stress(mesh, sol_or_field, problem):
     """Stress estimator, the default input of the marking step."""
     fld = _as_field(mesh, sol_or_field)
     _, curl = _element_samples(mesh, fld, problem)
     jumps = _edge_jumps(mesh, fld, problem, EDGE_3)
     return IndicatorReport(
         mesh=mesh,
-        data2=data_osc_elem(problem.f, mesh, f_elem),
+        data2=data_osc_elem(problem.f, mesh),
         curl2=_element_term(mesh, curl),
         jump2=_edge_term(mesh, jumps, EDGE_3))
 
@@ -265,7 +263,7 @@ def indicators_full(mesh, sol, problem, kappa=1.0):
         disp2=_element_term(mesh, aq))
 
 
-def oscillations(mesh, sol_or_field, problem, f_elem=None):
+def oscillations(mesh, sol_or_field, problem):
     """Oscillation terms of the stress estimator, elementwise.
 
     ``osc2`` collects curl, jump and data parts; ``osc_f2`` is the pure
@@ -278,7 +276,7 @@ def oscillations(mesh, sol_or_field, problem, f_elem=None):
     return OscReport(
         curl_osc2=_element_term(mesh, _p1_residual(curl)),
         jump_osc2=_edge_term(mesh, jumps, EDGE_5),
-        data_osc2=data_osc_elem(problem.f, mesh, f_elem),
+        data_osc2=data_osc_elem(problem.f, mesh),
         disp_osc2=_element_term(mesh, _p1_residual(aq)))
 
 

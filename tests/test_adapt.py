@@ -42,10 +42,11 @@ def test_dorfler_tie_break_lowest_id():
 
 
 def test_dorfler_all_zero_report():
-    ms = dorfler_mark([0.0, 0.0], 0.7)
-    assert ms.all_zero
-    assert ms.ids.size == 0
-    assert ms.marked_sum == 0.0
+    for eta2 in ([0.0, 0.0], []):
+        ms = dorfler_mark(eta2, 0.7)
+        assert ms.all_zero
+        assert ms.ids.size == 0
+        assert ms.marked_sum == 0.0
 
 
 def test_dorfler_theta_validation():
@@ -214,7 +215,7 @@ def synthetic_trace(slope=0.5, n=10):
 
 
 def test_fit_rate_recovers_synthetic_slope():
-    fit = fit_rate(synthetic_trace(slope=0.5), "flux_err", burn_in=2)
+    fit = fit_rate(synthetic_trace(slope=0.5), "flux_err")
     assert fit.rate == pytest.approx(0.5, abs=1e-12)
     assert fit.stderr <= 1e-12
     assert fit.n_points == 8  # burn-in drops the first two rows
@@ -225,13 +226,13 @@ def test_fit_rate_recovers_synthetic_slope():
 def test_fit_rate_burn_in_ignores_prefix():
     trace = synthetic_trace(slope=0.5)
     trace.rows[1]["flux_err2"] = 1e6  # corrupt a burn-in row
-    fit = fit_rate(trace, "flux_err", burn_in=2)
+    fit = fit_rate(trace, "flux_err")
     assert fit.rate == pytest.approx(0.5, abs=1e-12)
 
 
 def test_fit_rate_needs_enough_rows():
     with pytest.raises(ValueError):
-        fit_rate(synthetic_trace(n=4), "flux_err", burn_in=2)
+        fit_rate(synthetic_trace(n=4), "flux_err")
     with pytest.raises(ValueError):
         fit_rate(synthetic_trace(), "entropy")
 
@@ -288,6 +289,6 @@ def test_two_step_run():
 def test_make_reference_levels():
     prob = builtin("square_sine")
     mesh = uniform_refine(create_initial("unit_square"), 2)
-    ref = make_reference(prob, mesh, levels=2)
+    ref = make_reference(prob, mesh)
     assert ref.mesh.n_elements == mesh.n_elements * 4
     assert ref.div_defect <= 1e-9 * (1.0 + np.abs(ref.f_elem).max())

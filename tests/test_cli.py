@@ -1,6 +1,5 @@
 """Tests for the command line interface: artifacts, exit codes, config."""
 
-import functools
 import json
 import os
 import subprocess
@@ -12,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import amfem.adapt
 import amfem.cli as cli
 from amfem.cli import (ConfigError, load_config, main, make_custom_problem)
 from amfem.fem import SolverError
@@ -81,9 +81,11 @@ def test_run_uniform_mode(tmp_path):
     assert summary["mode"] == "uniform"
 
 
-def test_run_two_step_honours_max_dofs(tmp_path):
+@pytest.mark.parametrize("mode", ["adaptive", "uniform", "two_step"])
+def test_run_honours_max_dofs(tmp_path, mode):
+    # every mode refines through the one budgeted step
     out = tmp_path / "t"
-    assert run_cli("run", "--problem", "square_sine", "--mode", "two_step",
+    assert run_cli("run", "--problem", "square_sine", "--mode", mode,
                    "--eps", "1e-3", "--max-dofs", "2000",
                    "--out", str(out)) == 0
     rows = (out / "trace.csv").read_text().splitlines()[1:]
@@ -138,6 +140,8 @@ def test_custom_problem_run(tmp_path):
     ("verify", "--seed", "-1"),
     ("run", "--mode", "two_step", "--eps", "0.2", "--estimator", "full"),
     ("run", "--mode", "two_step", "--eps", "0.2", "--kappa", "0.5"),
+    ("run", "--gamma", "2"),              # no abbreviation of --gamma-grid
+    ("run", "--max", "60"),               # nor of --max-dofs
 ])
 def test_bad_invocations_exit_2(argv, capsys):
     assert run_cli(*argv) == 2
@@ -286,8 +290,7 @@ def test_solver_error_exits_3(tmp_path, monkeypatch, capsys):
 
 def test_data_approx_error_exits_3(tmp_path, monkeypatch, capsys):
     # two data-approximation steps cannot reach osc <= 5e-6 for the sine
-    monkeypatch.setattr(cli, "two_step",
-                        functools.partial(cli.two_step, max_iter=1))
+    monkeypatch.setattr(amfem.adapt, "MAX_ITER", 1)
     code = run_cli("run", "--problem", "square_sine", "--mode", "two_step",
                    "--eps", "1e-5", "--out", str(tmp_path / "out"))
     assert code == 3

@@ -243,6 +243,5 @@ def test_field_and_solution_reports_agree():
     mesh = uniform_refine(create_initial("checkerboard"))
     sol = solve_on(prob, mesh)
     r1 = indicators_stress(mesh, sol, prob)
-    r2 = indicators_stress(mesh, sol.field, prob,
-                           f_elem=sol.f_elem)
+    r2 = indicators_stress(mesh, sol.field, prob)
     assert np.array_equal(r1.eta2_elem, r2.eta2_elem)
