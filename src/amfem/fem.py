@@ -19,7 +19,12 @@ The saddle-point system
     [ M   B^T ] [ p ]   [ rhs_flux ]
     [ B    0  ] [ u ] = [ rhs_div  ]
 
-is solved by one sparse LU factorization of the full indefinite matrix.
+is solved by hybridization: with the normal continuity of the fluxes
+broken, each element's 3 outward fluxes and its displacement are
+eliminated through the inverse of its 3x3 local mass matrix, leaving one
+SPD system for the displacement traces on the interior edges.  One sparse
+factorization of that system also serves the iterative refinement steps
+on the residual of the assembled saddle system.
 """
 
 import numpy as np
@@ -149,12 +154,19 @@ class FluxField:
 
 
 class SaddleSystem:
-    def __init__(self, M, B, rhs_flux, rhs_div, dofmap):
+    """The assembled saddle-point system of one mesh.
+
+    ``loc`` holds the local mass matrices (nt, 3, 3) in the outward basis
+    (x - P_i) / (2|T|) of each element; ``M`` is their signed assembly.
+    """
+
+    def __init__(self, M, B, rhs_flux, rhs_div, dofmap, loc):
         self.M = M
         self.B = B
         self.rhs_flux = rhs_flux
         self.rhs_div = rhs_div
         self.dofmap = dofmap
+        self.loc = loc
 
     def full_matrix(self):
         return sp.bmat([[self.M, self.B.T], [self.B, None]], format="csc")
@@ -191,20 +203,21 @@ def assemble(mesh, dofmap, problem, f_elem):
     _check_spd(ainv, flat)
     ainv = ainv.reshape(pts.shape[0], pts.shape[1], 2, 2)
 
-    s = mesh.tri_edge_sign.astype(np.float64)
-    inv2a = 1.0 / (2.0 * mesh.areas)
-    # basis_i at quadrature point q: s_i/(2|T|) (x_q - P_i)
-    basis = (pts[:, :, None, :] - verts[:, None, :, :]) \
-        * (s * inv2a[:, None])[:, None, :, None]          # (nt, q, 3, 2)
-    ainv_basis = np.einsum("tqab,tqjb->tqja", ainv, basis)
-    loc = np.einsum("tqia,tqja,q->tij", basis, ainv_basis, w) \
-        * mesh.areas[:, None, None]
+    # outward basis at point x: (x - P_i) / (2|T|); the local mass matrix
+    # is |T| sum_q w_q d_qi^T A^-1 d_qj / (2|T|)^2 with d_qi = x_q - P_i
+    nt, nq, ne = mesh.n_elements, w.size, mesh.n_edges
+    d = pts[:, :, None, :] - verts[:, None, :, :]         # (nt, q, 3, 2)
+    ad = np.matmul(d, ainv * w[:, None, None])           # (nt, q, 3, 2)
+    loc = np.matmul(ad.transpose(0, 2, 1, 3).reshape(nt, 3, 2 * nq),
+                    d.transpose(0, 1, 3, 2).reshape(nt, 2 * nq, 3))
+    loc *= (0.25 / mesh.areas)[:, None, None]
     loc = 0.5 * (loc + loc.transpose(0, 2, 1))            # exact symmetry
 
-    nt, ne = mesh.n_elements, mesh.n_edges
+    s = mesh.tri_edge_sign.astype(np.float64)
     rows = np.repeat(mesh.tri_edges[:, :, None], 3, axis=2).ravel()
     cols = np.repeat(mesh.tri_edges[:, None, :], 3, axis=1).ravel()
-    M = sp.coo_matrix((loc.ravel(), (rows, cols)), shape=(ne, ne)).tocsr()
+    M = sp.coo_matrix(((loc * s[:, :, None] * s[:, None, :]).ravel(),
+                       (rows, cols)), shape=(ne, ne)).tocsr()
 
     B = sp.coo_matrix(
         (mesh.tri_edge_sign.ravel().astype(np.float64),
@@ -225,7 +238,7 @@ def assemble(mesh, dofmap, problem, f_elem):
             rhs_flux[bed] = sign * (gv @ ew)
 
     rhs_div = -mesh.areas * f_elem
-    return SaddleSystem(M, B, rhs_flux, rhs_div, dofmap)
+    return SaddleSystem(M, B, rhs_flux, rhs_div, dofmap, loc)
 
 
 class MixedSolution:
@@ -263,35 +276,90 @@ class MixedSolution:
         return float(np.abs(self.div + self.f_elem).max())
 
 
+def _inv_sym3(a):
+    """Inverses of the symmetric 3x3 matrices ``a`` (k, 3, 3) from their
+    adjugates.  Each matrix is scaled by its trace first, so neither the
+    adjugate nor the determinant over- or underflows."""
+    t = np.trace(a, axis1=1, axis2=2)
+    a = a / t[:, None, None]
+    adj = np.stack([np.cross(a[:, 1], a[:, 2]), np.cross(a[:, 2], a[:, 0]),
+                    np.cross(a[:, 0], a[:, 1])], axis=1)
+    det = (a[:, 0] * adj[:, 0]).sum(axis=1)
+    return adj / (det * t)[:, None, None]
+
+
 def solve(system, f_elem):
-    """Solve the saddle-point system by one sparse LU factorization.
+    """Solve the saddle-point system by hybridization.
+
+    On element T, with q its outward fluxes and e = (1, 1, 1), the local
+    equations ``loc q + u e = c`` and ``e.q = r`` give ``q = S c + z r``
+    and ``u = (W e.c - r) / s``, where ``W = loc^-1``, ``s = e.W e``,
+    ``z = W e / s`` and ``S = W - (W e) z^T``.  Here r is T's divergence
+    right-hand side and c the trace of u on T's edges plus the flux
+    right-hand sides T carries: each edge's is carried by its first
+    element in ``mesh.edge_tris``.  Flux continuity across the interior
+    edges is the SPD system for their traces, factorized once.  Up to two
+    rounds of iterative refinement on the assembled residual follow.
 
     The residual contract ``||K x - rhs||_inf <= 1e-10 (1 + ||rhs||_inf)``
     is enforced; a violation raises :class:`SolverError`.
     """
+    mesh = system.dofmap.mesh
+    nt, ne = mesh.n_elements, mesh.n_edges
+    W = _inv_sym3(system.loc)
+    We = W.sum(axis=2)
+    s = We.sum(axis=1)
+    z = We / s[:, None]
+    S = W - We[:, :, None] * z[:, None, :]
+
+    # trace unknowns: one per interior edge, by element slot
+    interior = ~mesh.boundary_edge
+    n_tr = int(interior.sum())
+    slot_id = np.where(interior, np.cumsum(interior) - 1, -1)[mesh.tri_edges]
+    inner = slot_id >= 0
+    pair = inner[:, :, None] & inner[:, None, :]
+    K_tr = sp.coo_matrix(
+        (S[pair], (np.broadcast_to(slot_id[:, :, None], S.shape)[pair],
+                   np.broadcast_to(slot_id[:, None, :], S.shape)[pair])),
+        shape=(n_tr, n_tr)).tocsc()
+    solve_traces = np.asarray         # no interior edge, nothing to solve
+    if n_tr:
+        try:
+            solve_traces = spla.splu(K_tr).solve
+        except RuntimeError as exc:
+            raise SolverError(f"sparse factorization failed: {exc}") from exc
+
+    # each edge's first element, its flat slot there and its orientation
+    outward = mesh.edge_tris[:, 0] >= 0
+    elem = np.where(outward, mesh.edge_tris[:, 0], mesh.edge_tris[:, 1])
+    first = 3 * elem + np.argmax(
+        mesh.tri_edges[elem] == np.arange(ne)[:, None], axis=1)
+    sign = np.where(outward, 1.0, -1.0)
+
+    def condensed(rhs):
+        c = np.zeros(3 * nt)
+        c[first] = sign * rhs[:ne]
+        c = c.reshape(nt, 3)
+        r = rhs[ne:]
+        # fluxes with zero traces; their jumps across interior edges
+        # are cancelled by the traces
+        q = np.einsum("tij,tj->ti", S, c) + z * r[:, None]
+        c[inner] += solve_traces(
+            -np.bincount(slot_id[inner], q[inner], minlength=n_tr)
+        )[slot_id[inner]]
+        q = np.einsum("tij,tj->ti", S, c) + z * r[:, None]
+        u = ((We * c).sum(axis=1) - r) / s
+        return np.concatenate([sign * q.ravel()[first], u])
+
     K = system.full_matrix()
     rhs = system.full_rhs()
-    ne = system.M.shape[0]
-    mesh = system.dofmap.mesh
-
-    # scale the balance rows to unit element area before factorizing;
-    # otherwise the residual of those rows, divided by tiny areas on
-    # graded meshes, surfaces as a divergence defect
-    scale = np.ones(K.shape[0])
-    scale[ne:] = 1.0 / mesh.areas
-    Ks = K.multiply(scale[:, None]).tocsc()
-    rhs_s = rhs * scale
-    try:
-        lu = spla.splu(Ks)
-    except RuntimeError as exc:
-        raise SolverError(f"sparse factorization failed: {exc}") from exc
-    x = lu.solve(rhs_s)
+    x = condensed(rhs)
     # up to two rounds of iterative refinement
     for _ in range(2):
-        r = rhs_s - Ks @ x
-        if np.abs(r).max() <= 1e-16 * (1.0 + np.abs(rhs_s).max()):
+        r = rhs - K @ x
+        if np.abs(r).max() <= 1e-16 * (1.0 + np.abs(rhs).max()):
             break
-        x = x + lu.solve(r)
+        x = x + condensed(r)
 
     residual = float(np.abs(K @ x - rhs).max())
     if not np.isfinite(residual) or residual > RESIDUAL_TOL * (1.0 + np.abs(rhs).max()):

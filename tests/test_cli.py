@@ -288,6 +288,20 @@ def test_solver_error_exits_3(tmp_path, monkeypatch, capsys):
     assert err == 'amfem: error=solver detail="saddle solve diverged"\n'
 
 
+@pytest.mark.parametrize("a0", ["1e154", "1e-154"])
+def test_extreme_coefficient_contrast_exits_3(a0, tmp_path, capsys):
+    # a contrast of 1e154 between the two initial elements leaves the
+    # solve unable to meet its residual contract
+    cfg = tmp_path / "contrast.cfg"
+    cfg.write_text(f"problem = custom\na.0 = {a0}\nf.0.0 = 1.0\n"
+                   "max_dofs = 300\n")
+    code = run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "out"))
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("amfem: error=solver detail=")
+    assert err.count("\n") == 1
+
+
 def test_data_approx_error_exits_3(tmp_path, monkeypatch, capsys):
     # two data-approximation steps cannot reach osc <= 5e-6 for the sine
     monkeypatch.setattr(amfem.adapt, "MAX_ITER", 1)

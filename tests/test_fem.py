@@ -8,10 +8,13 @@ import pytest
 
 import amfem.quadrature as quad
 from amfem.adapt import solve_on
-from amfem.fem import (FluxField, MixedSolution, PwConstData, assemble,
-                       build_dofmap, project_f, rt0_interpolate, solve)
-from amfem.mesh import ancestor_map, create_initial, refine, uniform_refine
+from amfem.fem import (FluxField, MixedSolution, PwConstData, SolverError,
+                       assemble, build_dofmap, project_f, rt0_interpolate,
+                       solve)
+from amfem.mesh import (Mesh, ancestor_map, create_initial, refine,
+                        uniform_refine)
 from amfem.problems import ProblemSpec, builtin, exact_errors
+from test_estimate import varcoef_problem
 
 
 def identity_A(x):
@@ -156,9 +159,36 @@ def test_residual_contract():
     assert sol.residual_inf <= bound
 
 
-def test_solve_matches_dense_solve():
-    p = builtin("square_sine")
-    m = uniform_refine(create_initial("unit_square"), 3)
+def graded(domain, point, rounds):
+    """``domain``'s initial mesh refined ``rounds`` times towards ``point``."""
+    mesh = create_initial(domain)
+    for _ in range(rounds):
+        at = np.all(mesh.vertices[mesh.triangles] == point, axis=2)
+        mesh = refine(mesh, np.flatnonzero(at.any(axis=1))).mesh
+    return mesh
+
+
+def one_triangle():
+    return Mesh(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
+                np.array([[0, 1, 2]]))
+
+
+# problem and mesh pairs whose condensed solves see jumping and varying
+# coefficients, graded meshes and a mesh without interior edges
+SOLVE_CASES = {
+    "square_sine": lambda: (builtin("square_sine"), uniform_refine(
+        create_initial("unit_square"), 3)),
+    "checkerboard_graded": lambda: (builtin("checkerboard"), graded(
+        "checkerboard", (0.5, 0.5), 8)),
+    "varcoef_lshape_graded": lambda: (varcoef_problem(), graded(
+        "lshape", (0.0, 0.0), 10)),
+    "one_triangle": lambda: (builtin("square_sine"), one_triangle()),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SOLVE_CASES))
+def test_solve_matches_dense_solve(case):
+    p, m = SOLVE_CASES[case]()
     fe = project_f(p.f, m)
     sys = assemble(m, build_dofmap(m), p, fe)
     a = solve(sys, fe)
@@ -166,6 +196,57 @@ def test_solve_matches_dense_solve():
     p_ref, u_ref = x[:m.n_edges], x[m.n_edges:]
     assert np.allclose(a.p, p_ref, atol=1e-10 * (1 + np.abs(p_ref).max()))
     assert np.allclose(a.u, u_ref, atol=1e-10 * (1 + np.abs(u_ref).max()))
+
+
+def einsum_mass_matrix(mesh, problem):
+    """The flux mass matrix by the four-index einsum formula, as reference."""
+    _, w = quad.TRI_6
+    verts = mesh.vertices[mesh.triangles]
+    pts = mesh.quad_points
+    ainv = problem.A_inv(pts.reshape(-1, 2)).reshape(pts.shape + (2,))
+    s = mesh.tri_edge_sign.astype(np.float64)
+    inv2a = 1.0 / (2.0 * mesh.areas)
+    basis = (pts[:, :, None, :] - verts[:, None, :, :]) \
+        * (s * inv2a[:, None])[:, None, :, None]
+    ainv_basis = np.einsum("tqab,tqjb->tqja", ainv, basis)
+    loc = np.einsum("tqia,tqja,q->tij", basis, ainv_basis, w) \
+        * mesh.areas[:, None, None]
+    ref = np.zeros((mesh.n_edges, mesh.n_edges))
+    for t in range(mesh.n_elements):
+        ref[np.ix_(mesh.tri_edges[t], mesh.tri_edges[t])] += loc[t]
+    return ref
+
+
+@pytest.mark.parametrize("case", ["checkerboard_graded",
+                                  "varcoef_lshape_graded"])
+def test_mass_matrix_matches_einsum_formula(case):
+    p, m = SOLVE_CASES[case]()
+    sys = assemble(m, build_dofmap(m), p, project_f(p.f, m))
+    ref = einsum_mass_matrix(m, p)
+    assert np.abs(sys.M.toarray() - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("scale", [1e-150, 1.0, 1e150])
+def test_local_inverses_match_linalg_inv(scale):
+    import amfem.fem as fem
+    p, m = SOLVE_CASES["checkerboard_graded"]()
+    loc = assemble(m, build_dofmap(m), p, project_f(p.f, m)).loc * scale
+    ref = np.linalg.inv(loc)
+    got = fem._inv_sym3(loc)
+    assert np.all(np.abs(got - ref) <= 1e-13 * np.abs(ref).max(axis=(1, 2),
+                                                            keepdims=True))
+
+
+def test_failed_factorization_is_a_solver_error(monkeypatch):
+    import amfem.fem as fem
+
+    def singular(*args, **kwargs):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(fem.spla, "splu", singular)
+    m = uniform_refine(create_initial("unit_square"), 2)
+    with pytest.raises(SolverError, match="factorization failed"):
+        solve_on(const_problem(), m)
 
 
 # ---------------------------------------------------------------------------
