@@ -73,6 +73,8 @@ def dorfler_mark(eta2, theta):
     if not 0.0 < theta <= 1.0:
         raise ValueError("theta must lie in (0, 1]")
     eta2 = np.asarray(eta2, dtype=np.float64)
+    if np.any(~np.isfinite(eta2) | (eta2 < 0.0)):
+        raise ValueError("indicators must be finite and non-negative")
     n = eta2.shape[0]
     order = np.lexsort((np.arange(n), -eta2))
     csum = np.cumsum(eta2[order])
@@ -201,6 +203,8 @@ def amfem(problem, eps=0.0, theta=0.5, b=1, max_dofs=100_000, mode="adaptive",
         raise ValueError(f"unknown mode {mode!r}")
     if estimator not in ("stress", "full"):
         raise ValueError(f"unknown estimator {estimator!r}")
+    if errors not in ("auto", "reference", "none"):
+        raise ValueError(f"unknown errors {errors!r}")
     mesh = mesh0 if mesh0 is not None else create_initial(problem.domain)
     keep_states = keep or errors == "reference"
 

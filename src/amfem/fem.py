@@ -22,9 +22,9 @@ The saddle-point system
 is solved by hybridization: with the normal continuity of the fluxes
 broken, each element's 3 outward fluxes and its displacement are
 eliminated through the inverse of its 3x3 local mass matrix, leaving one
-SPD system for the displacement traces on the interior edges.  One sparse
-factorization of that system also serves the iterative refinement steps
-on the residual of the assembled saddle system.
+SPD system for the displacement traces on the interior edges.  The local
+matrices and the edge signs are all that is kept of M and B: the
+residuals of the refinement steps apply them element by element.
 """
 
 import numpy as np
@@ -154,33 +154,39 @@ class FluxField:
 
 
 class SaddleSystem:
-    """The assembled saddle-point system of one mesh.
+    """The saddle-point system of one mesh, held element by element.
 
     ``loc`` holds the local mass matrices (nt, 3, 3) in the outward basis
-    (x - P_i) / (2|T|) of each element; ``M`` is their signed assembly.
+    (x - P_i) / (2|T|) of each element; with the edge signs they are the
+    whole operator.  ``rhs`` stacks the flux and divergence right-hand sides.
     """
 
-    def __init__(self, M, B, rhs_flux, rhs_div, dofmap, loc):
-        self.M = M
-        self.B = B
-        self.rhs_flux = rhs_flux
-        self.rhs_div = rhs_div
-        self.dofmap = dofmap
+    def __init__(self, loc, rhs, dofmap):
         self.loc = loc
+        self.rhs = rhs
+        self.dofmap = dofmap
 
-    def full_matrix(self):
-        return sp.bmat([[self.M, self.B.T], [self.B, None]], format="csc")
-
-    def full_rhs(self):
-        return np.concatenate([self.rhs_flux, self.rhs_div])
+    def apply(self, x):
+        """``[[M, B^T], [B, 0]] @ x`` for ``x = (p, u)``: element T with
+        outward fluxes ``q = s p[tri_edges]`` adds ``s (loc q + u_T)`` to
+        its edge rows, and ``sum(q)`` is its divergence row."""
+        mesh = self.dofmap.mesh
+        s, ne, edges = mesh.tri_edge_sign, mesh.n_edges, mesh.tri_edges
+        q = s * x[:ne][edges]
+        flux = s * (np.einsum("tij,tj->ti", self.loc, q) + x[ne:, None])
+        rows = np.bincount(edges.ravel(), flux.ravel(), minlength=ne)
+        return np.concatenate([rows, q.sum(axis=1)])
 
 
 def _check_spd(ainv, pts):
-    sym_defect = np.abs(ainv[:, 0, 1] - ainv[:, 1, 0])
-    scale = np.abs(ainv).max(axis=(1, 2))
-    bad = sym_defect > 1e-12 * np.maximum(scale, 1.0)
-    det = ainv[:, 0, 0] * ainv[:, 1, 1] - ainv[:, 0, 1] * ainv[:, 1, 0]
-    bad |= (ainv[:, 0, 0] <= 0.0) | (det <= 0.0)
+    # each 2x2 block is divided by its largest entry, so that no test over-
+    # or underflows; a zero or non-finite block gives NaN and fails them
+    scale = np.abs(ainv).max(axis=(1, 2))[:, None, None]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        a = ainv / scale
+    det = a[:, 0, 0] * a[:, 1, 1] - a[:, 0, 1] * a[:, 1, 0]
+    bad = ~((np.abs(a[:, 0, 1] - a[:, 1, 0]) <= 1e-12) & (a[:, 0, 0] > 0.0)
+            & (det > 0.0))
     if np.any(bad):
         i = int(np.flatnonzero(bad)[0])
         raise AssemblyError(
@@ -213,18 +219,7 @@ def assemble(mesh, dofmap, problem, f_elem):
     loc *= (0.25 / mesh.areas)[:, None, None]
     loc = 0.5 * (loc + loc.transpose(0, 2, 1))            # exact symmetry
 
-    s = mesh.tri_edge_sign.astype(np.float64)
-    rows = np.repeat(mesh.tri_edges[:, :, None], 3, axis=2).ravel()
-    cols = np.repeat(mesh.tri_edges[:, None, :], 3, axis=1).ravel()
-    M = sp.coo_matrix(((loc * s[:, :, None] * s[:, None, :]).ravel(),
-                       (rows, cols)), shape=(ne, ne)).tocsr()
-
-    B = sp.coo_matrix(
-        (mesh.tri_edge_sign.ravel().astype(np.float64),
-         (np.repeat(np.arange(nt), 3), mesh.tri_edges.ravel())),
-        shape=(nt, ne)).tocsr()
-
-    rhs_flux = np.zeros(ne)
+    rhs = np.zeros(ne + nt)
     g = getattr(problem, "g", None)
     if g is not None:
         bed = np.flatnonzero(mesh.boundary_edge)
@@ -235,10 +230,10 @@ def assemble(mesh, dofmap, problem, f_elem):
             _, ew = EDGE_3
             gv = np.asarray(g(epts.reshape(-1, 2))).reshape(epts.shape[:2])
             sign = np.where(mesh.edge_tris[bed, 0] >= 0, 1.0, -1.0)
-            rhs_flux[bed] = sign * (gv @ ew)
+            rhs[bed] = sign * (gv @ ew)
 
-    rhs_div = -mesh.areas * f_elem
-    return SaddleSystem(M, B, rhs_flux, rhs_div, dofmap, loc)
+    rhs[ne:] = -mesh.areas * f_elem
+    return SaddleSystem(loc, rhs, dofmap)
 
 
 class MixedSolution:
@@ -299,7 +294,7 @@ def solve(system, f_elem):
     right-hand sides T carries: each edge's is carried by its first
     element in ``mesh.edge_tris``.  Flux continuity across the interior
     edges is the SPD system for their traces, factorized once.  Up to two
-    rounds of iterative refinement on the assembled residual follow.
+    rounds of iterative refinement on the residual follow.
 
     The residual contract ``||K x - rhs||_inf <= 1e-10 (1 + ||rhs||_inf)``
     is enforced; a violation raises :class:`SolverError`.
@@ -351,17 +346,16 @@ def solve(system, f_elem):
         u = ((We * c).sum(axis=1) - r) / s
         return np.concatenate([sign * q.ravel()[first], u])
 
-    K = system.full_matrix()
-    rhs = system.full_rhs()
+    rhs = system.rhs
     x = condensed(rhs)
     # up to two rounds of iterative refinement
     for _ in range(2):
-        r = rhs - K @ x
+        r = rhs - system.apply(x)
         if np.abs(r).max() <= 1e-16 * (1.0 + np.abs(rhs).max()):
             break
         x = x + condensed(r)
 
-    residual = float(np.abs(K @ x - rhs).max())
+    residual = float(np.abs(system.apply(x) - rhs).max())
     if not np.isfinite(residual) or residual > RESIDUAL_TOL * (1.0 + np.abs(rhs).max()):
         raise SolverError(
             f"solver residual {residual:.3e} violates the contract")

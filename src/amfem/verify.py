@@ -300,7 +300,7 @@ def run_suite(name, seed=0):
     """Run one verification suite; returns a list of CheckResult."""
     if name not in _SUITES:
         raise ValueError("unknown suite %r; choose from %s"
-                         % (name, ", ".join(SUITE_NAMES + ("all",))))
+                         % (name, ", ".join(SUITE_NAMES)))
     return _SUITES[name](seed)
 
 

@@ -56,6 +56,12 @@ def test_dorfler_theta_validation():
         dorfler_mark([1.0], 1.2)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
+def test_dorfler_rejects_non_finite_or_negative_indicators(bad):
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        dorfler_mark([bad, 1.0, 2.0], 0.5)
+
+
 def test_dorfler_bulk_and_minimality_random():
     rng = np.random.default_rng(12)
     for _ in range(60):
@@ -147,6 +153,8 @@ def test_amfem_rejects_unknown_knobs():
         amfem(builtin("square_sine"), mode="random")
     with pytest.raises(ValueError):
         amfem(builtin("square_sine"), estimator="recovery")
+    with pytest.raises(ValueError):
+        amfem(builtin("square_sine"), errors="refernce")
 
 
 def test_amfem_full_estimator_runs():

@@ -101,34 +101,35 @@ def test_pwconst_data_caches_only_the_last_mesh(monkeypatch):
 
 
 def test_divergence_matrix_entries():
+    # B[t, tri_edges[t, i]] = tri_edge_sign[t, i]: entries in {-1, +1}, each
+    # interior edge couples its two elements with opposite signs, boundary
+    # edges touch exactly one element, and edge_tris lists the element
+    # with the outward sign first
     m = uniform_refine(create_initial("unit_square"))
-    dm = build_dofmap(m)
-    sys = assemble(m, dm, const_problem(), project_f(lambda x: np.ones(
-        np.atleast_2d(x).shape[0]), m))
-    B = sys.B.toarray()
-    vals = np.unique(B)
-    assert set(vals.tolist()) <= {-1.0, 0.0, 1.0}
-    # each interior edge couples its two elements with opposite signs,
-    # boundary edges touch exactly one element
-    col_nnz = (B != 0.0).sum(axis=0)
-    col_sum = B.sum(axis=0)
-    for e in range(dm.n_flux):
+    assert set(np.unique(m.tri_edge_sign).tolist()) == {-1, 1}
+    touching = {e: [] for e in range(m.n_edges)}
+    for t in range(m.n_elements):
+        for e, s in zip(m.tri_edges[t], m.tri_edge_sign[t]):
+            touching[int(e)].append((t, int(s)))
+    for e, pairs in touching.items():
         if m.boundary_edge[e]:
-            assert col_nnz[e] == 1
+            assert len(pairs) == 1
         else:
-            assert col_nnz[e] == 2
-            assert col_sum[e] == 0.0
+            assert len(pairs) == 2
+            assert pairs[0][1] + pairs[1][1] == 0
+        assert sorted(pairs, key=lambda ts: -ts[1]) == [
+            (int(t), s) for t, s in zip(m.edge_tris[e], (1, -1)) if t >= 0]
 
 
 def test_mass_matrix_spd():
+    # every local mass matrix is symmetric positive definite
     m = uniform_refine(create_initial("unit_square"), 2)
     dm = build_dofmap(m)
     sys = assemble(m, dm, const_problem(),
                    project_f(lambda x: np.zeros(np.atleast_2d(x).shape[0]), m))
-    M = sys.M.toarray()
-    assert np.allclose(M, M.T, atol=0.0)
-    w = np.linalg.eigvalsh(M)
-    assert w.min() > 0.0
+    loc = sys.loc
+    assert np.array_equal(loc, loc.transpose(0, 2, 1))
+    assert np.linalg.eigvalsh(loc).min() > 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -153,8 +154,8 @@ def test_residual_contract():
     sys = assemble(m, dm, p, fe)
     sol = solve(sys, fe)
     x = np.concatenate([sol.p, sol.u])
-    r = sys.full_matrix() @ x - sys.full_rhs()
-    bound = 1e-10 * (1.0 + np.abs(sys.full_rhs()).max())
+    r = dense_saddle_matrix(m, p) @ x - sys.rhs
+    bound = 1e-10 * (1.0 + np.abs(sys.rhs).max())
     assert np.abs(r).max() <= bound
     assert sol.residual_inf <= bound
 
@@ -192,7 +193,7 @@ def test_solve_matches_dense_solve(case):
     fe = project_f(p.f, m)
     sys = assemble(m, build_dofmap(m), p, fe)
     a = solve(sys, fe)
-    x = np.linalg.solve(sys.full_matrix().toarray(), sys.full_rhs())
+    x = np.linalg.solve(dense_saddle_matrix(m, p), sys.rhs)
     p_ref, u_ref = x[:m.n_edges], x[m.n_edges:]
     assert np.allclose(a.p, p_ref, atol=1e-10 * (1 + np.abs(p_ref).max()))
     assert np.allclose(a.u, u_ref, atol=1e-10 * (1 + np.abs(u_ref).max()))
@@ -217,13 +218,38 @@ def einsum_mass_matrix(mesh, problem):
     return ref
 
 
+def dense_saddle_matrix(mesh, problem):
+    """The saddle matrix [[M, B^T], [B, 0]], dense, as reference: M by the
+    einsum formula and B entry by entry from the element edge signs."""
+    ne, nt = mesh.n_edges, mesh.n_elements
+    B = np.zeros((nt, ne))
+    for t in range(nt):
+        for i in range(3):
+            B[t, mesh.tri_edges[t, i]] = mesh.tri_edge_sign[t, i]
+    return np.block([[einsum_mass_matrix(mesh, problem), B.T],
+                     [B, np.zeros((nt, nt))]])
+
+
 @pytest.mark.parametrize("case", ["checkerboard_graded",
                                   "varcoef_lshape_graded"])
 def test_mass_matrix_matches_einsum_formula(case):
+    # the flux block of the element-wise operator, column by column
     p, m = SOLVE_CASES[case]()
     sys = assemble(m, build_dofmap(m), p, project_f(p.f, m))
+    ne = m.n_edges
+    M = np.stack([sys.apply(x)[:ne]
+                  for x in np.eye(ne + m.n_elements)[:ne]], axis=1)
     ref = einsum_mass_matrix(m, p)
-    assert np.abs(sys.M.toarray() - ref).max() <= 1e-13 * np.abs(ref).max()
+    assert np.abs(M - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("case", sorted(SOLVE_CASES))
+def test_apply_matches_dense_saddle_matrix(case):
+    p, m = SOLVE_CASES[case]()
+    sys = assemble(m, build_dofmap(m), p, project_f(p.f, m))
+    x = np.random.default_rng(7).standard_normal(m.n_edges + m.n_elements)
+    ref = dense_saddle_matrix(m, p) @ x
+    assert np.abs(sys.apply(x) - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 @pytest.mark.parametrize("scale", [1e-150, 1.0, 1e150])

@@ -15,6 +15,10 @@ def test_all_suites_pass():
 def test_unknown_suite_raises():
     with pytest.raises(ValueError):
         run_suite("nope")
+    # run_suite takes one suite; "all" is for run_many, so not offered
+    with pytest.raises(ValueError) as err:
+        run_suite("all")
+    assert str(err.value).endswith(", ".join(SUITE_NAMES))
 
 
 def test_run_many_deduplicates():
