@@ -171,8 +171,15 @@ def _refine_within(mesh, marked, b, max_dofs):
     """The one refinement step of both phases: bisect the ``marked`` elements
     ``b`` times each.  ``None`` ends the phase: nothing is marked, or the
     refined mesh would exceed ``max_dofs`` flux dofs (the refinement is then
-    dropped, so the budget holds strictly)."""
+    dropped, so the budget holds strictly).
+
+    Each marked element leaves at least ``2**b`` elements and a triangulation
+    has at least 1.5 edges per element, so a refinement that must exceed
+    the budget is dropped before it is built."""
     if marked.size == 0:
+        return None
+    least = mesh.n_elements + marked.size * (2 ** b - 1)
+    if 3 * least > 2 * max_dofs:
         return None
     rr = refine(mesh, marked, b=b)
     return rr if rr.mesh.n_edges <= max_dofs else None

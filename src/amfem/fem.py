@@ -22,7 +22,10 @@ The saddle-point system
 is solved by hybridization: with the normal continuity of the fluxes
 broken, each element's 3 outward fluxes and its displacement are
 eliminated through the inverse of its 3x3 local mass matrix, leaving one
-SPD system for the displacement traces on the interior edges.  The local
+SPD system for the displacement traces on the interior edges.  The traces
+are numbered in the nested-dissection order that
+:func:`amfem.mesh.dissection_order` reads off the bisection genealogy
+(George 1973), and SuperLU factorizes the system in that order.  The local
 matrices and the edge signs are all that is kept of M and B: the
 residuals of the refinement steps apply them element by element.
 """
@@ -31,7 +34,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .mesh import ancestor_map
+from .mesh import ancestor_map, dissection_order
 from .quadrature import TRI_6, EDGE_3, edge_points
 
 __all__ = [
@@ -246,6 +249,8 @@ class MixedSolution:
     f_elem : the cellwise source means the solve used
     residual_inf : inf-norm of the algebraic residual
     div_defect : max_T |div p_h + f_h|, the divergence-exactness defect
+    balance_defect : max_T |sum_E s_E p_E + |T| f_T| / max_E |p_E|, the
+        flux balance of each element relative to the largest flux
     """
 
     def __init__(self, mesh, p, u, f_elem, residual_inf):
@@ -270,6 +275,14 @@ class MixedSolution:
     def div_defect(self):
         return float(np.abs(self.div + self.f_elem).max())
 
+    @property
+    def balance_defect(self):
+        mesh = self.mesh
+        net = (mesh.tri_edge_sign * self.p[mesh.tri_edges]).sum(axis=1)
+        scale = np.abs(self.p).max()
+        return float(np.abs(net + mesh.areas * self.f_elem).max()
+                     / (scale if scale > 0.0 else 1.0))
+
 
 def _inv_sym3(a):
     """Inverses of the symmetric 3x3 matrices ``a`` (k, 3, 3) from their
@@ -293,7 +306,10 @@ def solve(system, f_elem):
     right-hand side and c the trace of u on T's edges plus the flux
     right-hand sides T carries: each edge's is carried by its first
     element in ``mesh.edge_tris``.  Flux continuity across the interior
-    edges is the SPD system for their traces, factorized once.  Up to two
+    edges is the SPD system for their traces, numbered by
+    :func:`amfem.mesh.dissection_order` and factorized once in that order
+    (``permc_spec="NATURAL"``): each bisection region's inner traces come
+    before its separator, which bounds the fill.  Up to two
     rounds of iterative refinement on the residual follow.
 
     The residual contract ``||K x - rhs||_inf <= 1e-10 (1 + ||rhs||_inf)``
@@ -307,10 +323,10 @@ def solve(system, f_elem):
     z = We / s[:, None]
     S = W - We[:, :, None] * z[:, None, :]
 
-    # trace unknowns: one per interior edge, by element slot
-    interior = ~mesh.boundary_edge
-    n_tr = int(interior.sum())
-    slot_id = np.where(interior, np.cumsum(interior) - 1, -1)[mesh.tri_edges]
+    # trace unknowns: one per interior edge, numbered in nested-dissection
+    # order, by element slot
+    n_tr = int(np.count_nonzero(~mesh.boundary_edge))
+    slot_id = dissection_order(mesh)[mesh.tri_edges]
     inner = slot_id >= 0
     pair = inner[:, :, None] & inner[:, None, :]
     K_tr = sp.coo_matrix(
@@ -320,7 +336,7 @@ def solve(system, f_elem):
     solve_traces = np.asarray         # no interior edge, nothing to solve
     if n_tr:
         try:
-            solve_traces = spla.splu(K_tr).solve
+            solve_traces = spla.splu(K_tr, permc_spec="NATURAL").solve
         except RuntimeError as exc:
             raise SolverError(f"sparse factorization failed: {exc}") from exc
 

@@ -19,7 +19,10 @@ A mesh stores, besides coordinates and connectivity,
         s being the bit length of the root's element count; the overlay and
         the coarse-to-fine field transfers rely on it.  A bisection whose key
         would not fit in int64 raises MeshError, which allows generations up
-        to 62 - s (58 on the checkerboard, 60 on the unit square).
+        to 62 - s (58 on the checkerboard, 60 on the unit square).  The
+        trees also give the interior edges a nested-dissection order
+        (``dissection_order``): an edge separates the two child regions of
+        its elements' lowest common ancestor.
 
 Conformity is maintained by edge marking (Funken, Praetorius and Wissgott,
 CMAM 11, 2011): the refinement edges of all marked elements are collected,
@@ -53,6 +56,7 @@ from .quadrature import TRI_6, tri_points
 __all__ = [
     "Mesh", "MeshError", "RefineResult",
     "create_initial", "refine", "uniform_refine", "overlay", "ancestor_map",
+    "dissection_order",
     "INITIAL_DOMAINS",
 ]
 
@@ -71,6 +75,13 @@ class RefineResult:
 def _read_only(a):
     a.flags.writeable = False
     return a
+
+
+def _bit_length(a):
+    """Bit lengths of the positive int64 array ``a``; the shift corrects
+    ``frexp`` where float rounding carries ``a`` up to the next power of 2."""
+    n = np.frexp(a.astype(np.float64))[1].astype(np.int64)
+    return n - ((a >> (n - 1)) == 0)
 
 
 class Mesh:
@@ -105,9 +116,7 @@ class Mesh:
                    or self.node.min() < 1
                    or self.node.max() >= self._node_limit):
             raise MeshError("genealogy label out of range")
-        # bit length minus one; the shift corrects float rounding up near 2^k
-        gen = np.frexp(self.node.astype(np.float64))[1].astype(np.int64) - 1
-        self.generation = gen - ((self.node >> gen) == 0)
+        self.generation = _bit_length(self.node) - 1
 
         self._build_edges()
         if validate:
@@ -517,3 +526,34 @@ def ancestor_map(fine, coarse):
     if np.unique(out).size != coarse.n_elements:
         raise MeshError("mesh is not a refinement of the given coarse mesh")
     return out
+
+
+def dissection_order(mesh):
+    """Rank of each interior edge in a nested-dissection order, -1 on the
+    boundary edges.
+
+    An interior edge belongs to the lowest common ancestor of its two
+    elements in their root's bisection tree: it separates the ancestor's
+    two child regions.  Each root's edges are ranked in the post-order of
+    their ancestors, so every region's inner edges precede its separator;
+    the edges between different root elements come last.
+    """
+    inner = np.flatnonzero(~mesh.boundary_edge)
+    t0, t1 = mesh.edge_tris[inner].T
+    g0, g1 = mesh.generation[t0], mesh.generation[t1]
+    a = mesh.node[t0] >> np.maximum(g0 - g1, 0)
+    b = mesh.node[t1] >> np.maximum(g1 - g0, 0)
+    root = mesh.root_elem[t0]
+    cross = root != mesh.root_elem[t1]
+    # no element is another's ancestor, so a != b within one root
+    up = _bit_length(np.where(cross, 1, a ^ b))
+    depth = np.minimum(g0, g1) - up
+    # the ancestor's path padded with ones to the deepest ancestor sorts
+    # subtrees left to right and after their descendants; equal keys
+    # belong to one right spine, deepest first
+    pad = depth.max(initial=0) - depth
+    key = (((a >> up) + 1) << pad) - 1
+    order = inner[np.lexsort((-depth, key, root, cross))]
+    rank = np.full(mesh.n_edges, -1, dtype=np.int64)
+    rank[order] = np.arange(order.size)
+    return rank

@@ -101,6 +101,7 @@ def test_divergence_exactness_on_every_solve(all_traces, pythagoras_triple):
     for sol in sols:
         bound = 1e-9 * (1.0 + np.abs(sol.f_elem).max())
         assert sol.div_defect <= bound
+        assert sol.balance_defect <= 1e-12
 
 
 def test_discrete_pythagoras_with_resolved_data(pythagoras_triple):

@@ -148,6 +148,18 @@ def test_amfem_uniform_mode_marks_everything():
         assert r["n_marked"] == r["n_elem"]
 
 
+def test_refinement_over_budget_is_never_built(monkeypatch):
+    # one marked element bisected 12 times leaves 4 096 elements, far over
+    # a 200-dof budget, so the step ends the loop without refining
+    import amfem.adapt as adapt
+    calls = []
+    monkeypatch.setattr(adapt, "refine",
+                        lambda *args, **kwargs: calls.append(args))
+    trace = amfem(builtin("square_sine"), b=12, max_dofs=200)
+    assert calls == []
+    assert [r["n_marked"] for r in trace.rows] == [0]
+
+
 def test_amfem_rejects_unknown_knobs():
     with pytest.raises(ValueError):
         amfem(builtin("square_sine"), mode="random")

@@ -11,8 +11,8 @@ from amfem.adapt import solve_on
 from amfem.fem import (FluxField, MixedSolution, PwConstData, SolverError,
                        assemble, build_dofmap, project_f, rt0_interpolate,
                        solve)
-from amfem.mesh import (Mesh, ancestor_map, create_initial, refine,
-                        uniform_refine)
+from amfem.mesh import (Mesh, ancestor_map, create_initial, dissection_order,
+                        refine, uniform_refine)
 from amfem.problems import ProblemSpec, builtin, exact_errors
 from test_estimate import varcoef_problem
 
@@ -175,7 +175,9 @@ def one_triangle():
 
 
 # problem and mesh pairs whose condensed solves see jumping and varying
-# coefficients, graded meshes and a mesh without interior edges
+# coefficients, graded meshes, a mesh at the deepest generation the int64
+# keys allow (one more round raises MeshError) and a mesh without
+# interior edges
 SOLVE_CASES = {
     "square_sine": lambda: (builtin("square_sine"), uniform_refine(
         create_initial("unit_square"), 3)),
@@ -183,6 +185,8 @@ SOLVE_CASES = {
         "checkerboard", (0.5, 0.5), 8)),
     "varcoef_lshape_graded": lambda: (varcoef_problem(), graded(
         "lshape", (0.0, 0.0), 10)),
+    "checkerboard_deepest": lambda: (builtin("checkerboard"), graded(
+        "checkerboard", (0.0, 0.0), 58)),
     "one_triangle": lambda: (builtin("square_sine"), one_triangle()),
 }
 
@@ -197,6 +201,87 @@ def test_solve_matches_dense_solve(case):
     p_ref, u_ref = x[:m.n_edges], x[m.n_edges:]
     assert np.allclose(a.p, p_ref, atol=1e-10 * (1 + np.abs(p_ref).max()))
     assert np.allclose(a.u, u_ref, atol=1e-10 * (1 + np.abs(u_ref).max()))
+    assert a.balance_defect <= 1e-12
+
+
+def test_balance_defect_is_relative_to_the_largest_flux():
+    m = uniform_refine(create_initial("unit_square"), 2)
+    rng = np.random.default_rng(3)
+    p, f = rng.standard_normal(m.n_edges), rng.standard_normal(m.n_elements)
+    ref = max(abs(sum(s * p[e] for e, s in zip(m.tri_edges[t],
+                                                  m.tri_edge_sign[t]))
+                  + m.areas[t] * f[t]) for t in range(m.n_elements))
+    u = np.zeros(m.n_elements)
+    for c in (1e-150, 1.0, 1e150):
+        sol = MixedSolution(m, c * p, u, c * f, 0.0)
+        assert sol.balance_defect == pytest.approx(
+            ref / np.abs(p).max(), rel=1e-12)
+    # a zero flux is measured against zero data, without a 0/0
+    sol = solve_on(const_problem(fval=0.0), m)
+    assert not sol.p.any()
+    assert sol.balance_defect == 0.0
+
+
+def lca_owner(mesh, e):
+    """(root, node) of the lowest common ancestor of interior edge ``e``'s
+    elements, or None for an edge between two root elements."""
+    t0, t1 = mesh.edge_tris[e]
+    if mesh.root_elem[t0] != mesh.root_elem[t1]:
+        return None
+    a, b = int(mesh.node[t0]), int(mesh.node[t1])
+    while a != b:
+        if a > b:
+            a >>= 1
+        else:
+            b >>= 1
+    return int(mesh.root_elem[t0]), a
+
+
+@pytest.mark.parametrize("case", ["square_sine", "checkerboard_graded",
+                                  "varcoef_lshape_graded",
+                                  "checkerboard_deepest"])
+def test_dissection_order_is_a_post_order(case):
+    _, m = SOLVE_CASES[case]()
+    rank = dissection_order(m)
+    inner = np.flatnonzero(~m.boundary_edge)
+    assert np.all(rank[m.boundary_edge] == -1)
+    assert np.array_equal(np.sort(rank[inner]), np.arange(inner.size))
+    owners = [lca_owner(m, e) for e in inner]
+    cross = np.array([o is None for o in owners])
+    assert cross.any() == (m.root.n_elements > 1)
+    # the edges between root elements are the top separator
+    if cross.any():
+        assert rank[inner[cross]].min() > rank[inner[~cross]].max()
+    # every edge follows the edges of its ancestor's proper descendants
+    for e, own in zip(inner, owners):
+        if own is None:
+            continue
+        for f, sub in zip(inner, owners):
+            if sub is not None and sub[0] == own[0] and sub[1] > own[1] \
+                    and sub[1] >> (sub[1].bit_length()
+                                   - own[1].bit_length()) == own[1]:
+                assert rank[f] < rank[e]
+
+
+def test_dissection_order_bounds_the_fill(monkeypatch):
+    # the trace factor in dissection order against a COLAMD ordering of
+    # the same matrix
+    import amfem.fem as fem
+    factor = fem.spla.splu
+    seen = []
+
+    def recording(A, **kwargs):
+        lu = factor(A, **kwargs)
+        seen.append((A, lu))
+        return lu
+
+    monkeypatch.setattr(fem.spla, "splu", recording)
+    solve_on(builtin("square_sine"),
+             uniform_refine(create_initial("unit_square"), 10))
+    (A, lu), = seen
+    assert A.shape == (3008, 3008)
+    colamd = factor(A, permc_spec="COLAMD")
+    assert lu.L.nnz + lu.U.nnz <= 0.75 * (colamd.L.nnz + colamd.U.nnz)
 
 
 def einsum_mass_matrix(mesh, problem):
