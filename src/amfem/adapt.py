@@ -26,10 +26,11 @@ import numpy as np
 from . import __version__ as _pkg_version
 from .estimate import (data_osc_elem, indicators_full, indicators_stress,
                        oscillations)
-from .fem import PwConstData, assemble, build_dofmap, project_f, solve
+from .fem import (AssemblyError, PwConstData, assemble, build_dofmap,
+                  project_f, solve)
 from .mesh import create_initial, refine, uniform_refine
 from .problems import exact_errors
-from .util import ordered_sum
+from .util import ordered_sum, write_csv
 
 __all__ = [
     "MarkSet", "AdaptTrace", "RateFit", "DataApproxError", "dorfler_mark",
@@ -136,20 +137,9 @@ class AdaptTrace:
         return np.array(out)
 
     def to_csv(self, path):
-        def fmt(v):
-            if v is None:
-                return ""
-            if isinstance(v, (int, np.integer)):
-                return str(int(v))
-            return repr(float(v))
-
-        with open(path, "w") as fh:
-            fh.write(",".join(TRACE_COLUMNS) + "\n")
-            for r in self.rows:
-                fh.write(",".join(fmt(r.get(c)) for c in TRACE_COLUMNS) + "\n")
-        side = str(path)
-        side = side[:-4] if side.endswith(".csv") else side
-        with open(side + ".meta.json", "w") as fh:
+        write_csv(path, {c: [r.get(c) for r in self.rows]
+                         for c in TRACE_COLUMNS})
+        with open(str(path).removesuffix(".csv") + ".meta.json", "w") as fh:
             json.dump(self.meta, fh, indent=2, sort_keys=True)
             fh.write("\n")
 
@@ -227,11 +217,14 @@ def amfem(problem, eps=0.0, theta=0.5, b=1, max_dofs=100_000, mode="adaptive",
     for k in range(MAX_ITER + 1):
         t0 = time.perf_counter()
         sol = solve_on(problem, mesh)
-        if estimator == "stress":
-            report = indicators_stress(mesh, sol, problem)
-        else:
-            report = indicators_full(mesh, sol, problem, kappa)
-        osc = oscillations(mesh, sol, problem)
+        with np.errstate(over="ignore", invalid="ignore"):
+            if estimator == "stress":
+                report = indicators_stress(mesh, sol, problem)
+            else:
+                report = indicators_full(mesh, sol, problem, kappa)
+            osc = oscillations(mesh, sol, problem)
+        if not np.isfinite(report.eta2 + osc.osc2):
+            raise AssemblyError("estimator or oscillation total overflows")
 
         et = _measure(sol, problem, errors_vs) if errors == "auto" else None
         row = {
@@ -289,8 +282,11 @@ def _approx_rows(f, mesh0, eps, b, max_dofs):
     rows = []
     for k in range(MAX_ITER + 1):
         t0 = time.perf_counter()
-        osc2_elem = data_osc_elem(f, mesh)
-        osc2 = ordered_sum(osc2_elem)
+        with np.errstate(over="ignore", invalid="ignore"):
+            osc2_elem = data_osc_elem(f, mesh)
+            osc2 = ordered_sum(osc2_elem)
+        if not np.isfinite(osc2):
+            raise AssemblyError("data oscillation total overflows")
         row = {"k": k, "n_elem": mesh.n_elements, "n_flux_dofs": mesh.n_edges,
                "eta2": None, "osc2": osc2, "osc_f2": osc2, "n_marked": 0,
                "E2": None, "quasi_err": None, "secs": None}
@@ -319,8 +315,7 @@ def approx_data(f, mesh0, tol):
     return mesh
 
 
-def two_step(problem, eps, theta=0.5, b=1, max_dofs=100_000, gamma=1.0,
-             keep=False):
+def two_step(problem, eps, theta=0.5, b=1, max_dofs=100_000, gamma=1.0):
     """Data approximation followed by the adaptive loop, each with eps/2.
 
     The second phase solves with the projected data, whose oscillation
@@ -338,7 +333,7 @@ def two_step(problem, eps, theta=0.5, b=1, max_dofs=100_000, gamma=1.0,
     # the adaptive phase continues on the data-approximation mesh, where
     # the projected source is resolved exactly
     trace = amfem(mod, eps=0.5 * eps, theta=theta, b=b, max_dofs=max_dofs,
-                  gamma=gamma, keep=keep, mesh0=mesh_h, errors_vs=problem)
+                  gamma=gamma, mesh0=mesh_h, errors_vs=problem)
     trace.meta.update({
         "problem": problem.name, "mode": "two_step", "eps": eps,
         "approx_rows": len(rows1), "theta_data": THETA_DATA,

@@ -17,9 +17,11 @@ Two subcommands:
 
 Configuration is flag-driven; ``--config FILE`` reads the same keys from
 a flat ``key = value`` text file (flags win over file values), where
-``domain``, ``gamma`` and the coefficient keys below are file-only.  Flag
-abbreviations are refused.  Custom problems use ``problem = custom``
-together with per-macro-element coefficients on the chosen initial mesh:
+``domain``, ``gamma`` and the coefficient keys below are file-only.  Each
+key is a ``RunConfig`` field, named as its flag's destination, and a file
+value is parsed by the field's type.  Flag abbreviations are refused.
+Custom problems use ``problem = custom`` together with per-macro-element
+coefficients on the chosen initial mesh:
 
     a.R       constant diffusion a on initial element R (A = a * I there)
     f.I.J     global source term coefficient of x^I * y^J
@@ -30,29 +32,30 @@ data-approximation failure, 4 verification failure.  Failures print a
 single machine-parsable line ``amfem: error=<kind> detail="..."`` on
 stderr.
 
-Runs have no randomness: they are deterministic for a fixed config, and
-trace CSV bytes are reproducible except for the wall-clock ``secs`` column.
+Runs have no randomness: they are deterministic for a fixed config.  The
+CSV tables, all written by :func:`amfem.util.write_csv`, are reproducible
+byte for byte except the wall-clock ``secs`` column of ``trace.csv``.
 """
 
 import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from . import __version__
 from .adapt import (DEFAULT_GAMMA_GRID, DataApproxError, amfem,
                     contraction_scan, fit_rate, two_step)
-from .estimate import dump_indicators_csv
-from .fem import AssemblyError, SolverError, dump_solution_csv
+from .fem import AssemblyError, SolverError
 from .mesh import INITIAL_DOMAINS, MeshError, create_initial
 from .problems import BUILTIN_PROBLEMS, ProblemSpec, builtin
+from .util import write_csv
 from .verify import SUITE_NAMES, run_many
 
 __all__ = ["main", "RunConfig", "ConfigError", "load_config",
-           "make_custom_problem"]
+           "make_custom_problem", "dump_solution_csv", "dump_indicators_csv"]
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -180,26 +183,19 @@ def _as_int(key, val):
         raise ConfigError("key %r needs an integer, got %r" % (key, val))
 
 
-_FLOAT_KEYS = ("theta", "kappa", "eps", "gamma")
-_INT_KEYS = ("b", "max_dofs")
-_STR_KEYS = ("problem", "domain", "mode", "estimator", "out")
-
-
 def _apply_kv(cfg, kv):
+    """Set each file key on ``cfg``, parsed by its RunConfig field's type."""
+    parsers = {float: _as_float, int: _as_int, str: lambda key, val: val,
+               tuple: lambda key, val: _parse_gamma_grid(val)}
+    types = {f.name: f.type for f in fields(RunConfig)}
     for key, val in kv.items():
-        if key in _FLOAT_KEYS:
-            setattr(cfg, key, _as_float(key, val))
-        elif key in _INT_KEYS:
-            setattr(cfg, key, _as_int(key, val))
-        elif key in _STR_KEYS:
-            setattr(cfg, key, val)
-        elif key == "gamma_grid":
-            cfg.gamma_grid = _parse_gamma_grid(val)
+        parse = parsers.get(types.get(key))
+        if parse is not None:
+            setattr(cfg, key, parse(key, val))
         elif key.split(".", 1)[0] in ("a", "f"):
             cfg.coeffs[key] = _as_float(key, val)
         else:
             raise ConfigError("unknown config key %r" % key)
-    return cfg
 
 
 def _parse_gamma_grid(text):
@@ -309,6 +305,9 @@ def _region_values(coeffs, n_regions):
         if not 0.0 < c < np.inf:
             raise ConfigError("key %r: diffusion constant must be finite "
                               "and positive" % key)
+        if not 1.0 / c < np.inf:
+            raise ConfigError("key %r: diffusion constant %r has no finite "
+                              "reciprocal" % (key, c))
         vals[r] = c
     return vals
 
@@ -369,20 +368,14 @@ def _run_trace(cfg, problem):
 
 def _summarize(cfg, trace):
     last = trace.rows[-1]
-    final = {
-        "k": last["k"], "n_elem": last["n_elem"],
-        "n_flux_dofs": last["n_flux_dofs"],
-        "eta": float(np.sqrt(last["eta2"])) if last["eta2"] is not None
-        else None,
-        "eta2": last["eta2"], "osc2": last["osc2"], "osc_f2": last["osc_f2"],
-        "E2": last["E2"], "quasi_err": last["quasi_err"],
-    }
+    final = {c: last[c] for c in ("k", "n_elem", "n_flux_dofs", "eta2",
+                                  "osc2", "osc_f2", "E2", "quasi_err")}
+    # the last row is the adaptive loop's, never a data-approximation row
+    final["eta"] = float(np.sqrt(last["eta2"]))
     summary = {
         "version": __version__,
-        "problem": cfg.problem, "domain": cfg.domain, "mode": cfg.mode,
-        "estimator": cfg.estimator, "theta": cfg.theta, "kappa": cfg.kappa,
-        "b": cfg.b, "eps": cfg.eps, "max_dofs": cfg.max_dofs,
-        "gamma": cfg.gamma,
+        **{f.name: getattr(cfg, f.name) for f in fields(cfg)
+           if f.name not in ("gamma_grid", "out", "coeffs")},
         "iterations": len(trace.rows), "final": final,
         "rate": None, "rate_quantity": None, "contraction": None,
     }
@@ -403,15 +396,35 @@ def _summarize(cfg, trace):
     return summary
 
 
+def dump_solution_csv(sol, base_path):
+    """Write ``<base>_elements.csv`` (u_h, div p_h and f_h per element) and
+    ``<base>_flux.csv`` (flux coefficient and boundary flag per edge)."""
+    mesh = sol.mesh
+    write_csv(f"{base_path}_elements.csv", {
+        "element": np.arange(mesh.n_elements), "u": sol.u, "div_p": sol.div,
+        "f_h": sol.f_elem})
+    write_csv(f"{base_path}_flux.csv", {
+        "edge": np.arange(mesh.n_edges), "flux": sol.p,
+        "boundary": mesh.boundary_edge})
+
+
+def dump_indicators_csv(report, osc, path):
+    """Per-element CSV: indicator terms, oscillation terms and h_T."""
+    mesh = report.mesh
+    cols = {"element": np.arange(mesh.n_elements), "data2": report.data2,
+            "curl2": report.curl2, "jump2": report.jump2}
+    if report.disp2 is not None:
+        cols["disp2"] = report.disp2
+    cols.update(curl_osc2=osc.curl_osc2, jump_osc2=osc.jump_osc2,
+                data_osc2=osc.data_osc2, disp_osc2=osc.disp_osc2,
+                h=np.sqrt(mesh.areas))
+    write_csv(path, cols)
+
+
 def cmd_run(args):
-    overrides = {
-        "problem": args.problem, "theta": args.theta, "kappa": args.kappa,
-        "b": args.b, "eps": args.eps, "max_dofs": args.max_dofs,
-        "mode": args.mode, "estimator": args.estimator, "out": args.out,
-        "gamma_grid": (_parse_gamma_grid(args.gamma_grid)
-                       if args.gamma_grid is not None else None),
-    }
-    cfg = load_config(args.config, overrides)
+    # each flag's dest is its RunConfig field; file-only fields read None
+    cfg = load_config(args.config, {f.name: getattr(args, f.name, None)
+                                    for f in fields(RunConfig)})
     if cfg.problem == "custom":
         problem = make_custom_problem(cfg.coeffs, cfg.domain)
     else:
@@ -442,8 +455,7 @@ def cmd_run(args):
     line = "%s %s: %d iterations, %d elements, %d flux dofs" % (
         cfg.problem, cfg.mode, summary["iterations"], final["n_elem"],
         final["n_flux_dofs"])
-    if final["eta"] is not None:
-        line += ", eta=%.6g" % final["eta"]
+    line += ", eta=%.6g" % final["eta"]
     if summary["rate"] is not None:
         line += ", rate(%s)=%.3f" % (summary["rate_quantity"],
                                      summary["rate"]["value"])
@@ -504,11 +516,10 @@ def _build_parser():
                    help="data weight exponent for the full estimator")
     r.add_argument("--b", type=int, help="bisections per marked element")
     r.add_argument("--eps", type=float, help="stop once eta < eps")
-    r.add_argument("--max-dofs", type=int, dest="max_dofs",
-                   help="flux dof budget")
+    r.add_argument("--max-dofs", type=int, help="flux dof budget")
     r.add_argument("--mode", choices=MODES)
     r.add_argument("--estimator", choices=ESTIMATORS)
-    r.add_argument("--gamma-grid", dest="gamma_grid",
+    r.add_argument("--gamma-grid", type=_parse_gamma_grid,
                    help="comma-separated gammas for the contraction scan")
     r.add_argument("--out", help="output directory")
     r.set_defaults(func=cmd_run)

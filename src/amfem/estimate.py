@@ -68,7 +68,7 @@ from .util import ordered_sum
 
 __all__ = [
     "IndicatorReport", "OscReport", "indicators_stress", "indicators_full",
-    "oscillations", "data_osc_elem", "dump_indicators_csv",
+    "oscillations", "data_osc_elem",
 ]
 
 # relative pull of edge quadrature points toward the element centroid when
@@ -278,26 +278,3 @@ def oscillations(mesh, sol_or_field, problem):
         jump_osc2=_edge_term(mesh, jumps, EDGE_5),
         data_osc2=data_osc_elem(problem.f, mesh),
         disp_osc2=_element_term(mesh, _p1_residual(aq)))
-
-
-def dump_indicators_csv(report, osc, path):
-    """Per-element CSV: indicator terms, oscillation terms and h_T."""
-    mesh = report.mesh
-    h = np.sqrt(mesh.areas)
-    cols = ["element", "data2", "curl2", "jump2"]
-    if report.disp2 is not None:
-        cols.append("disp2")
-    cols += ["curl_osc2", "jump_osc2", "data_osc2", "disp_osc2", "h"]
-    with open(path, "w") as fh:
-        fh.write(",".join(cols) + "\n")
-        for t in range(mesh.n_elements):
-            row = [str(t), repr(float(report.data2[t])),
-                   repr(float(report.curl2[t])),
-                   repr(float(report.jump2[t]))]
-            if report.disp2 is not None:
-                row.append(repr(float(report.disp2[t])))
-            row += [repr(float(osc.curl_osc2[t])),
-                    repr(float(osc.jump_osc2[t])),
-                    repr(float(osc.data_osc2[t])),
-                    repr(float(osc.disp_osc2[t])), repr(float(h[t]))]
-            fh.write(",".join(row) + "\n")

@@ -5,17 +5,24 @@ import os
 import subprocess
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import amfem.adapt
 import amfem.cli as cli
-from amfem.cli import (ConfigError, load_config, main, make_custom_problem)
+from amfem.adapt import solve_on
+from amfem.cli import (ConfigError, RunConfig, load_config, main,
+                       make_custom_problem)
 from amfem.fem import SolverError
+from amfem.mesh import create_initial, uniform_refine
+from amfem.util import write_csv
 from amfem.verify import CheckResult
+from test_fem import const_problem
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -122,6 +129,84 @@ def test_custom_problem_run(tmp_path):
     assert summary["final"]["eta"] > 0.0
 
 
+def test_solution_csv_dump(tmp_path):
+    from amfem.cli import dump_solution_csv
+    sol = solve_on(const_problem(), uniform_refine(
+        create_initial("unit_square")))
+    base = tmp_path / "sol"
+    dump_solution_csv(sol, str(base))
+    lines = (tmp_path / "sol_elements.csv").read_text().splitlines()
+    assert lines[0] == "element,u,div_p,f_h"
+    assert len(lines) == 1 + sol.mesh.n_elements
+    first = lines[1].split(",")
+    assert int(first[0]) == 0
+    assert float(first[3]) == pytest.approx(1.0)
+    flines = (tmp_path / "sol_flux.csv").read_text().splitlines()
+    assert flines[0] == "edge,flux,boundary"
+    assert len(flines) == 1 + sol.mesh.n_edges
+
+
+def test_write_csv_cells(tmp_path):
+    floats = [-0.0, 5e-324, 1e16, 0.1, 1 / 3, 1e-31]
+    path = tmp_path / "t.csv"
+    write_csv(path, {"z": np.array([True, False, True, False, True, False]),
+                     "x": np.array(floats), "n": np.arange(6) * 10**12,
+                     "l": [1, None, True, np.int32(-4), np.float64(0.5),
+                           2.0]})
+    lines = path.read_text().splitlines()
+    assert lines[0] == "z,x,n,l"
+    rows = [ln.split(",") for ln in lines[1:]]
+    assert [r[0] for r in rows] == ["1", "0", "1", "0", "1", "0"]
+    got = [float(r[1]) for r in rows]
+    assert np.array_equal(np.array(got).view(np.int64),
+                          np.array(floats).view(np.int64))
+    assert [r[2] for r in rows] == [str(i * 10**12) for i in range(6)]
+    assert [r[3] for r in rows] == ["1", "", "1", "-4", "0.5", "2.0"]
+    # rows are written in blocks; a long table crosses their boundaries
+    x = np.arange(2500) / 7.0
+    write_csv(path, {"i": np.arange(2500), "x": x})
+    lines = path.read_text().splitlines()
+    assert lines[1:] == ["%d,%r" % (i, v) for i, v in enumerate(x.tolist())]
+    with pytest.raises(ValueError):
+        write_csv(path, {"a": [1, 2], "b": [1.0]})
+
+
+def test_every_run_config_field_is_a_file_key(tmp_path):
+    text = ("problem = custom\ndomain = lshape\ntheta = 0.25\n"
+            "kappa = 0.5\nb = 2\neps = 0.5\nmax_dofs = 900\n"
+            "mode = uniform\nestimator = full\ngamma = 2\n"
+            "gamma_grid = 0.5, 2\nout = there\na.0 = 3\n")
+    keys = {ln.split(" =")[0] for ln in text.splitlines()}
+    assert {f.name for f in fields(RunConfig)} - {"coeffs"} <= keys
+    cfg = tmp_path / "all.cfg"
+    cfg.write_text(text)
+    got = load_config(str(cfg))
+    assert got == RunConfig(
+        problem="custom", domain="lshape", theta=0.25, kappa=0.5, b=2,
+        eps=0.5, max_dofs=900, mode="uniform", estimator="full", gamma=2.0,
+        gamma_grid=(0.5, 2.0), out="there", coeffs={"a.0": 3.0})
+    assert type(got.b) is int and type(got.gamma) is float
+
+
+def test_every_flag_reaches_its_run_config_field(monkeypatch):
+    seen = {}
+
+    def capture(path, overrides):
+        seen.update(overrides)
+        raise ConfigError("captured")
+
+    monkeypatch.setattr(cli, "load_config", capture)
+    assert run_cli("run", "--problem", "custom", "--theta", "0.25",
+                   "--kappa", "0.5", "--b", "2", "--eps", "0.5",
+                   "--max-dofs", "900", "--mode", "uniform",
+                   "--estimator", "full", "--gamma-grid", "0.5, 2",
+                   "--out", "there") == 2
+    assert {k: v for k, v in seen.items() if v is not None} == {
+        "problem": "custom", "theta": 0.25, "kappa": 0.5, "b": 2,
+        "eps": 0.5, "max_dofs": 900, "mode": "uniform", "estimator": "full",
+        "gamma_grid": (0.5, 2.0), "out": "there"}
+
+
 # ---------------------------------------------------------------------------
 # config errors -> exit 2
 
@@ -164,6 +249,8 @@ def test_bad_invocations_exit_2(argv, capsys):
     "gamma_grid = 1.0, nan\n",
     "a.0 = nan\nproblem = custom\n",
     "a.0 = inf\nproblem = custom\n",
+    "a.0 = 1e-309\nproblem = custom\n",  # 1 / a overflows
+    "a.0 = 5e-324\nproblem = custom\n",
     "f.0.0 = nan\nproblem = custom\n",
     "mode = two_step\neps = 0.2\nestimator = full\n",
     "mode = two_step\neps = 0.2\nkappa = 0.5\n",
@@ -289,7 +376,8 @@ def test_solver_error_exits_3(tmp_path, monkeypatch, capsys):
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("a0", ["1e154", "1e-154", "1e160", "1e-160"])
+@pytest.mark.parametrize("a0", ["1e154", "1e-154", "1e160", "1e-160",
+                                "1e307", "1e308"])
 def test_extreme_coefficient_contrast_exits_3(a0, tmp_path, capsys):
     # a contrast of 1e154 or more between the two initial elements leaves
     # the solve unable to meet its residual contract; no numpy warning
@@ -298,6 +386,24 @@ def test_extreme_coefficient_contrast_exits_3(a0, tmp_path, capsys):
     cfg.write_text(f"problem = custom\na.0 = {a0}\nf.0.0 = 1.0\n"
                    "max_dofs = 300\n")
     code = run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "out"))
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("amfem: error=solver detail=")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("mode_args", [
+    (),
+    ("--mode", "two_step", "--eps", "1"),
+], ids=["adaptive", "two_step"])
+def test_estimator_overflow_exits_3(mode_args, tmp_path, capsys):
+    # the squared terms of a source of 1e200 overflow in the estimator and
+    # in the data oscillation; the run stops before marking them
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text("problem = custom\nf.0.0 = 1e200\nmax_dofs = 300\n")
+    code = run_cli("run", "--config", str(cfg), *mode_args,
+                   "--out", str(tmp_path / "out"))
     assert code == 3
     err = capsys.readouterr().err
     assert err.startswith("amfem: error=solver detail=")

@@ -448,20 +448,3 @@ def test_flux_field_restriction_preserves_values():
     amap = ancestor_map(fine, coarse)
     want = sol.field.eval(amap, pts)
     assert np.allclose(got, want, atol=1e-13)
-
-
-def test_solution_csv_dump(tmp_path):
-    from amfem.fem import dump_solution_csv
-    sol = solve_on(const_problem(), uniform_refine(
-        create_initial("unit_square")))
-    base = tmp_path / "sol"
-    dump_solution_csv(sol, str(base))
-    lines = (tmp_path / "sol_elements.csv").read_text().splitlines()
-    assert lines[0] == "element,u,div_p,f_h"
-    assert len(lines) == 1 + sol.mesh.n_elements
-    first = lines[1].split(",")
-    assert int(first[0]) == 0
-    assert float(first[3]) == pytest.approx(1.0)
-    flines = (tmp_path / "sol_flux.csv").read_text().splitlines()
-    assert flines[0] == "edge,flux,boundary"
-    assert len(flines) == 1 + sol.mesh.n_edges
