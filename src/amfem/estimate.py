@@ -180,33 +180,30 @@ def _edge_jumps(mesh, field, problem, rule):
     epts = edge_points(rule, a, b)                       # (ne, q, 2)
     tau = mesh.edge_tangents
     ne, q = epts.shape[:2]
-    traces = np.zeros((2, ne, q))
-    for side in range(2):
-        t = mesh.edge_tris[:, side]
-        valid = t >= 0
-        tv = t[valid]
-        pv = epts[valid]
-        cent = mesh.centroids[tv]
-        shifted = pv + _TRACE_PULL * (cent[:, None, :] - pv)
-        ainv = np.asarray(problem.A_inv(shifted.reshape(-1, 2))).reshape(
-            pv.shape[0], q, 2, 2)
-        qv = field.eval(tv, pv)
-        av = np.einsum("eqab,eqb->eqa", ainv, qv)
-        traces[side][valid] = np.einsum("eqd,ed->eq", av, tau[valid])
+    # every element side of every edge in one batch; a missing side keeps
+    # a zero trace
+    e, side = np.nonzero(mesh.edge_tris >= 0)
+    t = mesh.edge_tris[e, side]
+    # the batch sets the estimator's peak memory, so the points are pulled
+    # toward the centroids in place and each array is dropped once used
+    pts = epts[e]
+    qv = field.eval(t, pts)
+    pts += _TRACE_PULL * (mesh.centroids[t][:, None, :] - pts)
+    ainv = np.asarray(problem.A_inv(pts.reshape(-1, 2)))
+    del pts
+    av = np.einsum("eqab,eqb->eqa", ainv.reshape(e.size, q, 2, 2), qv)
+    del ainv, qv
+    traces = np.zeros((ne, 2, q))
+    traces[e, side] = np.einsum("eqd,ed->eq", av, tau[e])
 
-    interior = ~mesh.boundary_edge
-    jumps = np.zeros((ne, q))
-    jumps[interior] = traces[0][interior] - traces[1][interior]
-
-    bnd = np.flatnonzero(mesh.boundary_edge)
-    if bnd.size:
-        side0 = mesh.edge_tris[bnd, 0] >= 0
-        one_sided = np.where(side0[:, None], traces[0][bnd], traces[1][bnd])
-        if problem.g_tan is not None:
-            taub = np.repeat(tau[bnd], q, axis=0)
-            gt = np.asarray(problem.g_tan(epts[bnd].reshape(-1, 2), taub))
-            one_sided = one_sided - gt.reshape(bnd.size, q)
-        jumps[bnd] = one_sided
+    # side 0 minus side 1 inside; the one-sided trace on the boundary
+    bnd = mesh.boundary_edge
+    jumps = traces[:, 0] - traces[:, 1]
+    jumps[bnd] = traces[bnd].sum(axis=1)
+    if problem.g_tan is not None:
+        taub = np.repeat(tau[bnd], q, axis=0)
+        gt = np.asarray(problem.g_tan(epts[bnd].reshape(-1, 2), taub))
+        jumps[bnd] -= gt.reshape(-1, q)
     return jumps
 
 

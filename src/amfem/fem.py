@@ -75,9 +75,8 @@ class PwConstData:
 
     Used as right-hand side data after projecting f onto a coarse mesh:
     on any refinement of the carrier the values are recovered exactly by
-    ancestor lookup, so the data oscillation vanishes identically.  Only
-    the ancestor map of the last mesh queried is cached, so no earlier mesh
-    is kept alive.
+    ancestor lookup, so the data oscillation vanishes identically.  No
+    queried mesh is kept alive.
     """
 
     def __init__(self, mesh, values):
@@ -85,15 +84,12 @@ class PwConstData:
         self.values = np.asarray(values, dtype=np.float64)
         if self.values.shape != (mesh.n_elements,):
             raise ValueError("one value per carrier element required")
-        self._last = (None, None)
 
     def values_on(self, mesh):
         """Per-element values on ``mesh``, which must refine the carrier."""
         if mesh is self.mesh:
             return self.values
-        if self._last[0] is not mesh:
-            self._last = (mesh, ancestor_map(mesh, self.mesh))
-        return self.values[self._last[1]]
+        return self.values[ancestor_map(mesh, self.mesh)]
 
 
 def eval_f_on_elements(f, mesh, pts):
@@ -304,13 +300,13 @@ def solve(system, f_elem):
     and ``u = (W e.c - r) / s``, where ``W = loc^-1``, ``s = e.W e``,
     ``z = W e / s`` and ``S = W - (W e) z^T``.  Here r is T's divergence
     right-hand side and c the trace of u on T's edges plus the flux
-    right-hand sides T carries: each edge's is carried by its first
-    element in ``mesh.edge_tris``.  Flux continuity across the interior
-    edges is the SPD system for their traces, numbered by
-    :func:`amfem.mesh.dissection_order` and factorized once in that order
-    (``permc_spec="NATURAL"``): each bisection region's inner traces come
-    before its separator, which bounds the fill.  Up to two
-    rounds of iterative refinement on the residual follow.
+    right-hand sides T carries: each edge's is carried by its owner slot
+    in ``mesh.edge_slots``, side 0 where that side exists, else side 1.
+    Flux continuity across the interior edges is the SPD system for their
+    traces, numbered by :func:`amfem.mesh.dissection_order` and factorized
+    once in that order (``permc_spec="NATURAL"``): each bisection region's
+    inner traces come before its separator, which bounds the fill.  Up to
+    two rounds of iterative refinement on the residual follow.
 
     The residual contract ``||K x - rhs||_inf <= 1e-10 (1 + ||rhs||_inf)``
     is enforced; a violation raises :class:`SolverError`.
@@ -342,16 +338,14 @@ def solve(system, f_elem):
         except RuntimeError as exc:
             raise SolverError(f"sparse factorization failed: {exc}") from exc
 
-    # each edge's first element, its flat slot there and its orientation
-    outward = mesh.edge_tris[:, 0] >= 0
-    elem = np.where(outward, mesh.edge_tris[:, 0], mesh.edge_tris[:, 1])
-    first = 3 * elem + np.argmax(
-        mesh.tri_edges[elem] == np.arange(ne)[:, None], axis=1)
+    # each edge's owner slot: side 0 where it exists, else side 1
+    outward = mesh.edge_slots[:, 0] >= 0
+    owner = np.where(outward, mesh.edge_slots[:, 0], mesh.edge_slots[:, 1])
     sign = np.where(outward, 1.0, -1.0)
 
     def condensed(rhs):
         c = np.zeros(3 * nt)
-        c[first] = sign * rhs[:ne]
+        c[owner] = sign * rhs[:ne]
         c = c.reshape(nt, 3)
         r = rhs[ne:]
         # fluxes with zero traces; their jumps across interior edges
@@ -362,7 +356,7 @@ def solve(system, f_elem):
         )[slot_id[inner]]
         q = np.einsum("tij,tj->ti", S, c) + z * r[:, None]
         u = ((We * c).sum(axis=1) - r) / s
-        return np.concatenate([sign * q.ravel()[first], u])
+        return np.concatenate([sign * q.ravel()[owner], u])
 
     rhs = system.rhs
     x = condensed(rhs)

@@ -42,7 +42,10 @@ oscillation.
 
 Edges carry a global orientation fixed by the lexicographic order of their
 endpoint indices: the tangent points from the lower to the higher index,
-and the normal is the tangent rotated by -90 degrees.
+and the normal is the tangent rotated by -90 degrees.  ``edge_slots``
+holds the element slot ``3 t + i`` (edge i of element t) on both sides of
+each edge, -1 where there is no element; side 0 sees the normal as
+outward.  ``edge_tris`` holds the elements of those slots.
 """
 
 import re
@@ -173,20 +176,21 @@ class Mesh:
         dot = np.einsum("tid,tid->ti", nrm, amid - opp)
         self.tri_edge_sign = np.where(dot > 0.0, 1, -1).astype(np.int64)
 
-        # incident elements per edge: slot 0 sees the normal as outward.  A
-        # third element on an edge always takes a side already taken.
-        slot = 2 * self.tri_edges.ravel() + (self.tri_edge_sign.ravel() < 0)
+        # element slots 3 t + i per edge side; a third element on an edge
+        # always takes a side already taken
+        side = 2 * self.tri_edges.ravel() + (self.tri_edge_sign.ravel() < 0)
         ne = self.edges.shape[0]
-        claims = np.bincount(slot, minlength=2 * ne)
+        claims = np.bincount(side, minlength=2 * ne)
         if np.any(claims > 1):
             # report the first repeated claim in element order
-            again = np.ones(slot.size, dtype=bool)
-            again[np.unique(slot, return_index=True)[1]] = False
-            e = slot[np.argmax(again)] // 2
+            again = np.ones(side.size, dtype=bool)
+            again[np.unique(side, return_index=True)[1]] = False
+            e = side[np.argmax(again)] // 2
             raise MeshError(f"edge {e} claimed twice from the same side")
-        edge_tris = np.full(2 * ne, -1, dtype=np.int64)
-        edge_tris[slot] = np.repeat(np.arange(tri.shape[0]), 3)
-        self.edge_tris = edge_tris.reshape(ne, 2)
+        edge_slots = np.full(2 * ne, -1, dtype=np.int64)
+        edge_slots[side] = np.arange(side.size)
+        self.edge_slots = edge_slots.reshape(ne, 2)
+        self.edge_tris = self.edge_slots // 3          # -1 // 3 is still -1
         self.boundary_edge = claims.reshape(ne, 2).sum(axis=1) == 1
 
     def _audit(self):
@@ -368,19 +372,15 @@ INITIAL_DOMAINS = {
 def create_initial(domain):
     """Build one of the hard-coded initial meshes.
 
-    The labeling (choice of refinement edges) is part of the mesh data; it
-    is checked here by bisecting every element twice and auditing the
-    result, so an incompatible labeling fails immediately.
+    The labeling (choice of refinement edges) is part of the mesh data; the
+    edge-marking closure keeps every refinement of any labeling conforming.
     """
     try:
         verts, tris = INITIAL_DOMAINS[domain]()
     except KeyError:
         raise MeshError(f"unknown domain {domain!r}; "
                         f"choose from {sorted(INITIAL_DOMAINS)}") from None
-    mesh = Mesh(verts, tris)
-    # labeling sanity: two full bisection levels must stay conforming
-    refine(mesh, np.arange(mesh.n_elements), b=2)
-    return mesh
+    return Mesh(verts, tris)
 
 
 # -- refinement ------------------------------------------------------------

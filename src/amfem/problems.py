@@ -177,13 +177,11 @@ class ErrorTriple:
 
     ``flux2``  : ||A^(-1/2)(p - p_h)||^2
     ``div2``   : ||h div(p - p_h)||^2 with the elementwise weight h_T
-    ``disp2``  : ||u - u_h||^2
     ``surrogate`` : True when measured against a reference solution on a
     finer mesh rather than a closed-form solution.
     """
     flux2: float
     div2: float
-    disp2: float
     surrogate: bool = False
 
     @property
@@ -223,10 +221,7 @@ def _errors_vs_exact(sol, problem):
     fv = eval_f_on_elements(problem.f, mesh, pts)
     ddiff = -fv - sol.div[:, None]          # div p = -f pointwise
     div2 = ordered_sum(((ddiff ** 2) @ w) * mesh.areas ** 2)
-
-    uv = np.asarray(problem.exact_u(flat)).reshape(pts.shape[:2])
-    disp2 = ordered_sum((((uv - sol.u[:, None]) ** 2) @ w) * mesh.areas)
-    return ErrorTriple(flux2=flux2, div2=div2, disp2=disp2)
+    return ErrorTriple(flux2=flux2, div2=div2)
 
 
 def _errors_vs_reference(sol, reference, problem):
@@ -238,10 +233,7 @@ def _errors_vs_reference(sol, reference, problem):
     hH2 = sol.mesh.areas[amap]              # squared coarse weight |T_H|
     ddiff = reference.div - sol.div[amap]
     div2 = ordered_sum(ddiff ** 2 * hH2 * fine.areas)
-
-    udiff = reference.u - sol.u[amap]
-    disp2 = ordered_sum(udiff ** 2 * fine.areas)
-    return ErrorTriple(flux2=flux2, div2=div2, disp2=disp2, surrogate=True)
+    return ErrorTriple(flux2=flux2, div2=div2, surrogate=True)
 
 
 def flux_dist2(problem, mesh, field_a, field_b):

@@ -2,15 +2,16 @@
 
 import gc
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import amfem.quadrature as quad
 from amfem.adapt import solve_on
-from amfem.fem import (FluxField, MixedSolution, PwConstData, SolverError,
-                       assemble, build_dofmap, project_f, rt0_interpolate,
-                       solve)
+from amfem.fem import (AssemblyError, FluxField, MixedSolution, PwConstData,
+                       SolverError, assemble, build_dofmap, project_f,
+                       rt0_interpolate, solve)
 from amfem.mesh import (Mesh, ancestor_map, create_initial, dissection_order,
                         refine, uniform_refine)
 from amfem.problems import ProblemSpec, builtin, exact_errors
@@ -74,7 +75,7 @@ def test_pwconst_data_values_on_descendants():
     assert np.allclose(fe, vals)
 
 
-def test_pwconst_data_caches_only_the_last_mesh(monkeypatch):
+def test_pwconst_data_keeps_no_queried_mesh(monkeypatch):
     import amfem.fem as fem
     calls = []
     monkeypatch.setattr(fem, "ancestor_map",
@@ -84,8 +85,6 @@ def test_pwconst_data_caches_only_the_last_mesh(monkeypatch):
     data = PwConstData(m, np.array([3.0, -1.0]))
     first = uniform_refine(m, 1)
     data.values_on(first)
-    data.values_on(first)
-    assert len(calls) == 1                  # a repeated query is cached
     dead = weakref.ref(first)
     del first
     newer = uniform_refine(m, 2)
@@ -358,6 +357,34 @@ def test_failed_factorization_is_a_solver_error(monkeypatch):
     m = uniform_refine(create_initial("unit_square"), 2)
     with pytest.raises(SolverError, match="factorization failed"):
         solve_on(const_problem(), m)
+
+
+NOT_SPD = "^A\\^-1 not symmetric positive definite at point "
+
+
+@pytest.mark.parametrize("case, match", [
+    ("indefinite", NOT_SPD),
+    ("non_symmetric", NOT_SPD),
+    ("nan", NOT_SPD),
+    ("foreign_dofmap", "^dofmap was built for a different mesh$"),
+    ("short_f_elem", "^f_elem must hold one value per element$"),
+])
+def test_assemble_refuses_unusable_input(case, match):
+    m = uniform_refine(create_initial("unit_square"))
+    prob, dofmap = const_problem(), build_dofmap(m)
+    f_elem = np.ones(m.n_elements)
+    ainv = {"indefinite": [[1.0, 0.0], [0.0, -1.0]],
+            "non_symmetric": [[1.0, 0.5], [0.0, 1.0]],
+            "nan": [[np.nan, 0.0], [0.0, 1.0]]}.get(case)
+    if ainv is not None:
+        prob = replace(prob, A_inv=lambda x: np.broadcast_to(
+            np.array(ainv), (x.shape[0], 2, 2)).copy())
+    elif case == "foreign_dofmap":
+        dofmap = build_dofmap(create_initial("unit_square"))
+    else:
+        f_elem = f_elem[1:]
+    with pytest.raises(AssemblyError, match=match):
+        assemble(m, dofmap, prob, f_elem)
 
 
 # ---------------------------------------------------------------------------

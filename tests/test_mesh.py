@@ -291,11 +291,12 @@ def test_reject_negative_orientation():
 
 
 def test_reject_hanging_node():
-    # right triangle pair where one vertex sits mid-edge of a larger one
+    # vertex 3 is the midpoint of edge 0 = (0, 1) of the upper triangle; the
+    # two lower triangles hold both half-edges (0, 3) and (3, 1)
     verts = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0],
-                      [1.0, 0.0], [0.0, -1.0]])
-    tris = np.array([[0, 1, 2], [0, 3, 4]])
-    with pytest.raises(MeshError):
+                      [1.0, 0.0], [1.0, -1.0]])
+    tris = np.array([[0, 1, 2], [0, 4, 3], [3, 4, 1]])
+    with pytest.raises(MeshError, match="hanging node 3 on edge 0"):
         Mesh(verts, tris)
 
 

@@ -288,4 +288,3 @@ def test_errors_survive_mesh_round_trip():
     tr2 = exact_errors(solve_on(prob, mesh2), prob)
     assert tr1.flux2 == tr2.flux2
     assert tr1.div2 == tr2.div2
-    assert tr1.disp2 == tr2.disp2
