@@ -109,13 +109,15 @@ class AdaptTrace:
 
     ``rows`` are dicts keyed by the trace CSV columns; rows of runs without
     a usable error carry ``None`` in ``E2``/``quasi_err`` until they are
-    backfilled against a reference solution.
+    backfilled against a reference solution.  ``stop`` says why the loop
+    ended: ``"eps"``, ``"budget"``, ``"max_iter"`` or ``"nothing_marked"``.
     """
 
     def __init__(self, meta):
         self.meta = dict(meta)
         self.rows = []
         self.states = []
+        self.stop = None
 
     def append(self, row, state=None):
         self.rows.append(row)
@@ -240,12 +242,19 @@ def amfem(problem, eps=0.0, theta=0.5, b=1, max_dofs=100_000, mode="adaptive",
         state = IterationState(k=k, mesh=mesh, sol=sol, report=report, osc=osc)
 
         rr = None
-        if not (eps > 0.0 and report.eta < eps) \
-                and mesh.n_edges < max_dofs and k < MAX_ITER:
+        if eps > 0.0 and report.eta < eps:
+            trace.stop = "eps"
+        elif mesh.n_edges >= max_dofs:
+            trace.stop = "budget"
+        elif k >= MAX_ITER:
+            trace.stop = "max_iter"
+        else:
             ms = None if mode == "uniform" \
                 else dorfler_mark(report.eta2_elem, theta)
             marked = np.arange(mesh.n_elements) if ms is None else ms.ids
             rr = _refine_within(mesh, marked, b, max_dofs)
+            if rr is None:
+                trace.stop = "nothing_marked" if marked.size == 0 else "budget"
         if rr is not None:
             row["n_marked"] = int(rr.marked.size)
             state.markset = ms

@@ -7,8 +7,9 @@ Two subcommands:
     two-step data-approximation variant) and writes plot-ready artifacts
     into the output directory: ``trace.csv`` with a ``trace.meta.json``
     sidecar, the final mesh, per-element solution and indicator tables,
-    and ``summary.json`` with the final estimator value, errors and the
-    fitted convergence rate.
+    and ``summary.json`` with the final estimator value, errors, the
+    fitted convergence rate and the reason the loop stopped (``stop``:
+    ``eps``, ``budget``, ``max_iter`` or ``nothing_marked``).
 
 ``amfem verify``
     Runs the built-in verification suites (mesh, dorfler, pythagoras,
@@ -26,6 +27,11 @@ coefficients on the chosen initial mesh:
     a.R       constant diffusion a on initial element R (A = a * I there)
     f.I.J     global source term coefficient of x^I * y^J
     f.R.I.J   source polynomial coefficient on initial element R only
+
+This module parses and validates those keys; the problem itself is built
+by :func:`amfem.problems.piecewise`, which reads each value by the initial
+element a point is sampled for.  A custom copy of a built-in piecewise
+problem therefore runs exactly as the built-in does.
 
 Exit codes: 0 success, 2 configuration error, 3 solver, mesh or
 data-approximation failure, 4 verification failure.  Failures print a
@@ -50,7 +56,7 @@ from .adapt import (DEFAULT_GAMMA_GRID, DataApproxError, amfem,
                     contraction_scan, fit_rate, two_step)
 from .fem import AssemblyError, SolverError
 from .mesh import INITIAL_DOMAINS, MeshError, create_initial
-from .problems import BUILTIN_PROBLEMS, ProblemSpec, builtin
+from .problems import BUILTIN_PROBLEMS, builtin, piecewise
 from .util import write_csv
 from .verify import SUITE_NAMES, run_many
 
@@ -229,53 +235,22 @@ def load_config(path=None, overrides=None):
 # custom problems
 
 
-def _locator(mesh0):
-    """Map points to the initial element containing them.
-
-    Ties on shared edges go to the lowest element id; points pushed
-    marginally outside by roundoff go to the nearest element.
-    """
-    verts = mesh0.vertices[mesh0.triangles]
-
-    def locate(x):
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        n = x.shape[0]
-        owner = np.full(n, -1, dtype=np.int64)
-        best = np.full(n, -np.inf)
-        nearest = np.zeros(n, dtype=np.int64)
-        for t in range(verts.shape[0]):
-            a, b, c = verts[t]
-            m = np.column_stack((b - a, c - a))
-            lam = np.linalg.solve(m, (x - a).T).T
-            bary = np.column_stack((1.0 - lam.sum(axis=1), lam))
-            low = bary.min(axis=1)
-            hit = (low >= -1e-10) & (owner < 0)
-            owner[hit] = t
-            upd = low > best
-            best[upd] = low[upd]
-            nearest[upd] = t
-        owner[owner < 0] = nearest[owner < 0]
-        return owner
-
-    return locate
-
-
 def _poly_table(coeffs, n_regions):
-    """Split f.* keys into per-region {(i, j): c} tables."""
-    table = [dict() for _ in range(n_regions)]
+    """Gather f.* keys into {(i, j): one coefficient per region}."""
+    table = {}
     for key, c in coeffs.items():
         parts = key.split(".")
         if parts[0] != "f":
             continue
         if len(parts) == 3:
-            regions = range(n_regions)
+            regions = slice(None)
             i, j = parts[1], parts[2]
         elif len(parts) == 4:
             r = _as_int(key, parts[1])
             if not 0 <= r < n_regions:
                 raise ConfigError("key %r: region out of range [0, %d)"
                                   % (key, n_regions))
-            regions = (r,)
+            regions = r
             i, j = parts[2], parts[3]
         else:
             raise ConfigError("bad source key %r; use f.I.J or f.R.I.J" % key)
@@ -285,8 +260,7 @@ def _poly_table(coeffs, n_regions):
         if not np.isfinite(c):
             raise ConfigError("key %r: source coefficient must be finite"
                               % key)
-        for r in regions:
-            table[r][(i, j)] = table[r].get((i, j), 0.0) + c
+        table.setdefault((i, j), np.zeros(n_regions))[regions] += c
     return table
 
 
@@ -317,40 +291,11 @@ def make_custom_problem(coeffs, domain="unit_square"):
 
     ``coeffs`` maps flat config keys (``a.R``, ``f.I.J``, ``f.R.I.J``) to
     numbers; unspecified regions default to a = 1 and f = 0.  Boundary
-    data is homogeneous.
+    data is homogeneous.  The problem is :func:`amfem.problems.piecewise`'s.
     """
-    mesh0 = create_initial(domain)
-    nr = mesh0.n_elements
-    a_vals = _region_values(coeffs, nr)
-    f_tab = _poly_table(coeffs, nr)
-    locate = _locator(mesh0)
-
-    def A(x):
-        x = np.atleast_2d(x)
-        a = a_vals[locate(x)]
-        return a[:, None, None] * np.eye(2)[None]
-
-    def A_inv(x):
-        x = np.atleast_2d(x)
-        a = a_vals[locate(x)]
-        return (1.0 / a)[:, None, None] * np.eye(2)[None]
-
-    def f(x):
-        x = np.atleast_2d(x)
-        region = locate(x)
-        out = np.zeros(x.shape[0])
-        for r in range(nr):
-            sel = region == r
-            if not sel.any() or not f_tab[r]:
-                continue
-            xr, yr = x[sel, 0], x[sel, 1]
-            acc = np.zeros(xr.shape[0])
-            for (i, j), c in sorted(f_tab[r].items()):
-                acc += c * xr ** i * yr ** j
-            out[sel] = acc
-        return out
-
-    return ProblemSpec(name="custom", domain=domain, A=A, A_inv=A_inv, f=f)
+    nr = create_initial(domain).n_elements
+    return piecewise("custom", domain, _region_values(coeffs, nr),
+                     _poly_table(coeffs, nr))
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +321,7 @@ def _summarize(cfg, trace):
         "version": __version__,
         **{f.name: getattr(cfg, f.name) for f in fields(cfg)
            if f.name not in ("gamma_grid", "out", "coeffs")},
-        "iterations": len(trace.rows), "final": final,
+        "iterations": len(trace.rows), "stop": trace.stop, "final": final,
         "rate": None, "rate_quantity": None, "contraction": None,
     }
     for quantity in ("flux_err", "eta"):

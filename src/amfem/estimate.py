@@ -61,7 +61,8 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .fem import FluxField, MixedSolution, PwConstData, eval_f_on_elements
+from .fem import (FluxField, MixedSolution, PwConstData, coef_at,
+                  eval_f_on_elements)
 from .mesh import MeshError
 from .quadrature import TRI_6, EDGE_3, EDGE_5, edge_points
 from .util import ordered_sum
@@ -70,12 +71,6 @@ __all__ = [
     "IndicatorReport", "OscReport", "indicators_stress", "indicators_full",
     "oscillations", "data_osc_elem",
 ]
-
-# relative pull of edge quadrature points toward the element centroid when
-# evaluating A^-1 traces, so piecewise coefficients are sampled on the
-# correct side of their interfaces
-_TRACE_PULL = 1e-8
-
 
 @dataclass(frozen=True)
 class IndicatorReport:
@@ -150,13 +145,11 @@ _P2_EDGE_RESIDUAL = _projection_residual(
 def _element_samples(mesh, field, problem):
     """A^-1 q and curl(A^-1 q) at the 6-point rule points of each element."""
     pts = mesh.quad_points
-    nt, nq = pts.shape[:2]
-    flat = pts.reshape(-1, 2)
-    ainv = np.asarray(problem.A_inv(flat)).reshape(nt, nq, 2, 2)
-    q = field.eval(np.arange(nt), pts)
+    ainv = coef_at(problem.A_inv, mesh.root_elem, pts)
+    q = field.eval(np.arange(mesh.n_elements), pts)
     curl = field.beta[:, None] * (ainv[:, :, 1, 0] - ainv[:, :, 0, 1])
     if problem.curl_A_inv is not None:
-        cai = np.asarray(problem.curl_A_inv(flat)).reshape(nt, nq, 2)
+        cai = coef_at(problem.curl_A_inv, mesh.root_elem, pts)
         curl = curl + np.einsum("tqd,tqd->tq", cai, q)
     return np.einsum("tqab,tqb->tqa", ainv, q), curl
 
@@ -180,18 +173,17 @@ def _edge_jumps(mesh, field, problem, rule):
     epts = edge_points(rule, a, b)                       # (ne, q, 2)
     tau = mesh.edge_tangents
     ne, q = epts.shape[:2]
-    # every element side of every edge in one batch; a missing side keeps
-    # a zero trace
+    # every element side of every edge in one batch, each side reading A^-1
+    # by its own element's root; a missing side keeps a zero trace
     e, side = np.nonzero(mesh.edge_tris >= 0)
     t = mesh.edge_tris[e, side]
-    # the batch sets the estimator's peak memory, so the points are pulled
-    # toward the centroids in place and each array is dropped once used
+    # the batch sets the estimator's peak memory, so each array is dropped
+    # once used
     pts = epts[e]
     qv = field.eval(t, pts)
-    pts += _TRACE_PULL * (mesh.centroids[t][:, None, :] - pts)
-    ainv = np.asarray(problem.A_inv(pts.reshape(-1, 2)))
+    ainv = coef_at(problem.A_inv, mesh.root_elem[t], pts)
     del pts
-    av = np.einsum("eqab,eqb->eqa", ainv.reshape(e.size, q, 2, 2), qv)
+    av = np.einsum("eqab,eqb->eqa", ainv, qv)
     del ainv, qv
     traces = np.zeros((ne, 2, q))
     traces[e, side] = np.einsum("eqd,ed->eq", av, tau[e])

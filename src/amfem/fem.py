@@ -39,8 +39,8 @@ from .quadrature import TRI_6, EDGE_3, edge_points
 
 __all__ = [
     "AssemblyError", "SolverError", "DofMap", "SaddleSystem", "MixedSolution",
-    "FluxField", "PwConstData", "build_dofmap", "project_f", "assemble",
-    "solve", "rt0_interpolate",
+    "FluxField", "PwConstData", "build_dofmap", "coef_at", "project_f",
+    "assemble", "solve", "rt0_interpolate",
 ]
 
 RESIDUAL_TOL = 1e-10
@@ -92,13 +92,22 @@ class PwConstData:
         return self.values[ancestor_map(mesh, self.mesh)]
 
 
+def coef_at(fn, roots, pts):
+    """Coefficient ``fn`` at the points ``pts`` (k, q, 2), where row i is
+    sampled for an element whose root element is ``roots[i]``.  The
+    values have shape (k, q, ...)."""
+    k, q = pts.shape[:2]
+    vals = np.asarray(fn(pts.reshape(-1, 2), np.repeat(roots, q)),
+                      dtype=np.float64)
+    return vals.reshape(k, q, *vals.shape[1:])
+
+
 def eval_f_on_elements(f, mesh, pts):
     """Evaluate source data at per-element quadrature points ``pts`` (nt, q, 2)."""
     if isinstance(f, PwConstData):
         vals = f.values_on(mesh)
         return np.broadcast_to(vals[:, None], pts.shape[:2]).copy()
-    flat = f(pts.reshape(-1, 2))
-    return np.asarray(flat, dtype=np.float64).reshape(pts.shape[:2])
+    return coef_at(f, mesh.root_elem, pts)
 
 
 def project_f(f, mesh):
@@ -203,10 +212,8 @@ def assemble(mesh, dofmap, problem, f_elem):
     _, w = TRI_6
     verts = mesh.vertices[mesh.triangles]                 # (nt, 3, 2)
     pts = mesh.quad_points                                # (nt, q, 2)
-    flat = pts.reshape(-1, 2)
-    ainv = np.asarray(problem.A_inv(flat), dtype=np.float64)
-    _check_spd(ainv, flat)
-    ainv = ainv.reshape(pts.shape[0], pts.shape[1], 2, 2)
+    ainv = coef_at(problem.A_inv, mesh.root_elem, pts)    # (nt, q, 2, 2)
+    _check_spd(ainv.reshape(-1, 2, 2), pts.reshape(-1, 2))
 
     # outward basis at point x: (x - P_i) / (2|T|); the local mass matrix
     # is |T| sum_q w_q d_qi^T A^-1 d_qj / (2|T|)^2 with d_qi = x_q - P_i

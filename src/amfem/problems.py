@@ -1,19 +1,25 @@
 """Benchmark problems and error measurement.
 
-All coefficient callables are vectorized over point arrays of shape
-``(n, 2)``: ``A`` and ``A_inv`` return ``(n, 2, 2)``, ``curl_A_inv``
-returns ``(n, 2)`` holding the scalar curl of each column of ``A_inv``,
-scalar data return ``(n,)``.
+Coefficients are read by root element, not by location: ``A``, ``A_inv``,
+``curl_A_inv`` and ``f`` are called as ``fn(pts, roots)`` with points of
+shape ``(n, 2)`` and ``roots[i]``, the initial element (``mesh.root_elem``)
+of the element point ``i`` is sampled for.  A coefficient that jumps across
+initial-mesh edges therefore takes each side's own value on the interface.
+``A`` and ``A_inv`` return ``(n, 2, 2)``, ``curl_A_inv`` returns ``(n, 2)``
+holding the scalar curl of each column of ``A_inv``, ``f`` returns
+``(n,)``.  The boundary data ``g`` and ``g_tan`` and the exact solutions
+are functions of the points alone.  :func:`piecewise` builds every problem
+whose A = a I and f are constant and polynomial per initial element.
 
 Built-in problems
 -----------------
 ``square_sine``
     Unit square, A = I, u = sin(pi x) sin(pi y), f = 2 pi^2 u, g = 0.
 ``square_pwconst``
-    Unit square, A = I, f = +1 on the initial triangle below the diagonal
-    and -1 above it, g = 0.  f is constant on every element of every
-    refinement, so the data oscillation vanishes on all meshes.  No closed
-    form solution.
+    Unit square, A = I, f = +1 on initial triangle 0 (below the diagonal)
+    and -1 on initial triangle 1 (above it), g = 0.  f is constant on every
+    element of every refinement, so the data oscillation vanishes on all
+    meshes.  No closed form solution.
 ``lshape_singular``
     L-shaped domain, A = I, f = 0; the exact solution is the corner
     singularity r^(2/3) sin(2 phi / 3), imposed through inhomogeneous
@@ -21,26 +27,30 @@ Built-in problems
     from the positive x-axis, with the atan2 branch shifted on the lower
     half plane.
 ``checkerboard``
-    Unit square, A = a(x) I with a = 100 on the two diagonal quarter
-    cells and a = 1 on the others, f = 1, g = 0.  The coefficient jumps
-    align with edges of the initial mesh.  No closed form solution.
+    Unit square, A = a I with a = 100 on the two diagonal quarter cells
+    (initial elements 0, 1, 6 and 7) and a = 1 on the others, f = 1,
+    g = 0.  The coefficient jumps align with edges of the initial mesh.
+    No closed form solution.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fem import PwConstData, eval_f_on_elements
+from .fem import coef_at, eval_f_on_elements
 from .mesh import ancestor_map
 from .quadrature import TRI_7, tri_points
 from .util import ordered_sum
 
-__all__ = ["ProblemSpec", "ErrorTriple", "builtin", "exact_errors",
-           "flux_dist2", "BUILTIN_PROBLEMS"]
+__all__ = ["ProblemSpec", "ErrorTriple", "builtin", "piecewise",
+           "exact_errors", "flux_dist2", "BUILTIN_PROBLEMS"]
 
 
 @dataclass
 class ProblemSpec:
+    """One boundary value problem.  ``A``, ``A_inv``, ``f`` and
+    ``curl_A_inv`` take ``(pts, roots)``, the other callables the points
+    alone (see the module docstring)."""
     name: str
     domain: str
     A: callable
@@ -57,7 +67,7 @@ class ProblemSpec:
         return self.exact_p is not None
 
 
-def _const_identity(pts):
+def _const_identity(pts, roots):
     n = pts.shape[0]
     out = np.zeros((n, 2, 2))
     out[:, 0, 0] = 1.0
@@ -76,7 +86,7 @@ def _square_sine():
         cy = np.cos(np.pi * pts[:, 1])
         return np.pi * np.column_stack([cx * sy, sx * cy])
 
-    def f(pts):
+    def f(pts, roots):
         return 2.0 * np.pi ** 2 * u(pts)
 
     return ProblemSpec(
@@ -86,12 +96,8 @@ def _square_sine():
 
 
 def _square_pwconst():
-    def f(pts):
-        return np.where(pts[:, 0] > pts[:, 1], 1.0, -1.0)
-
-    return ProblemSpec(
-        name="square_pwconst", domain="unit_square",
-        A=_const_identity, A_inv=_const_identity, f=f)
+    return piecewise("square_pwconst", "unit_square", np.ones(2),
+                     {(0, 0): np.array([1.0, -1.0])})
 
 
 def _lshape_polar(pts):
@@ -117,7 +123,7 @@ def _lshape_singular():
         grad = amp[:, None] * (sr[:, None] * er + cr[:, None] * et)
         return np.where(r[:, None] > 0.0, grad, 0.0)
 
-    def f(pts):
+    def f(pts, roots):
         return np.zeros(pts.shape[0])
 
     def g_tan(pts, tau):
@@ -130,29 +136,40 @@ def _lshape_singular():
 
 
 def _checkerboard():
-    def a_of(pts):
-        return np.where((pts[:, 0] - 0.5) * (pts[:, 1] - 0.5) > 0.0, 100.0, 1.0)
+    a = np.ones(8)
+    a[[0, 1, 6, 7]] = 100.0
+    return piecewise("checkerboard", "checkerboard", a, {(0, 0): np.ones(8)})
 
-    def A(pts):
-        out = np.zeros((pts.shape[0], 2, 2))
-        a = a_of(pts)
-        out[:, 0, 0] = a
-        out[:, 1, 1] = a
+
+def piecewise(name, domain, a, f):
+    """Problem with A = a[r] I and the polynomial f = sum_(i, j) f[(i, j)][r]
+    x^i y^j on the descendants of initial element r, and g = 0.
+
+    ``a`` holds one positive constant per initial element of ``domain``'s
+    mesh and ``f`` maps each power pair ``(i, j)`` to one coefficient per
+    initial element.  Both are read by the roots the coefficients are
+    called with, as one gather over the per-root tables.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    a_inv = 1.0 / a
+    powers = sorted(f)
+    table = np.array([f[m] for m in powers], dtype=np.float64).reshape(
+        len(powers), a.size).T                     # (n_roots, n_monomials)
+
+    def A(pts, roots):
+        return a[roots][:, None, None] * np.eye(2)
+
+    def A_inv(pts, roots):
+        return a_inv[roots][:, None, None] * np.eye(2)
+
+    def f_of(pts, roots):
+        c = table[roots]
+        out = np.zeros(pts.shape[0])
+        for m, (i, j) in enumerate(powers):
+            out += c[:, m] * pts[:, 0] ** i * pts[:, 1] ** j
         return out
 
-    def A_inv(pts):
-        out = np.zeros((pts.shape[0], 2, 2))
-        a = a_of(pts)
-        out[:, 0, 0] = 1.0 / a
-        out[:, 1, 1] = 1.0 / a
-        return out
-
-    def f(pts):
-        return np.ones(pts.shape[0])
-
-    return ProblemSpec(
-        name="checkerboard", domain="checkerboard",
-        A=A, A_inv=A_inv, f=f)
+    return ProblemSpec(name=name, domain=domain, A=A, A_inv=A_inv, f=f_of)
 
 
 BUILTIN_PROBLEMS = {
@@ -246,7 +263,6 @@ def flux_dist2(problem, mesh, field_a, field_b):
 
 def _flux_norm2(problem, mesh, pts, d):
     """||A^(-1/2) d||^2 from flux samples ``d`` at the TRI_7 points ``pts``."""
-    ainv = np.asarray(problem.A_inv(pts.reshape(-1, 2))).reshape(
-        pts.shape[0], pts.shape[1], 2, 2)
+    ainv = coef_at(problem.A_inv, mesh.root_elem, pts)
     dens = np.einsum("tqa,tqab,tqb->tq", d, ainv, d)
     return ordered_sum((dens @ TRI_7[1]) * mesh.areas)

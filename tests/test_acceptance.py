@@ -7,6 +7,7 @@ The adaptive L-shape budget is capped at 3e4 dofs so the corner grading
 representation floor ulp(p_e)/|T|.
 """
 
+import csv
 import itertools
 
 import numpy as np
@@ -14,6 +15,7 @@ import pytest
 
 from amfem.adapt import (amfem, approx_data, contraction_scan, data_osc_elem,
                          dorfler_mark, fit_rate, solve_on)
+from amfem.cli import main
 from amfem.estimate import indicators_stress
 from amfem.fem import project_f
 from amfem.mesh import (ancestor_map, create_initial, overlay, refine,
@@ -241,7 +243,7 @@ def test_projected_data_oscillation_monotone(sine_adaptive,
 
 
 def test_data_approximation_tolerance_and_growth():
-    def f(x):
+    def f(x, roots):
         return x[:, 0]
 
     root = create_initial("unit_square")
@@ -258,3 +260,30 @@ def test_data_approximation_tolerance_and_growth():
         epss.append(eps)
     slope = np.polyfit(np.log(1.0 / np.array(epss)), np.log(sizes), 1)[0]
     assert 0.5 <= slope <= 1.2
+
+
+def test_custom_checkerboard_equals_builtin(tmp_path):
+    # the checkerboard written as a custom problem reads its coefficients
+    # by initial element exactly as the built-in does, so at 3e4 dofs,
+    # where its interface elements are far below the initial mesh size,
+    # both runs refine the same meshes to the same indicators
+    cfg = tmp_path / "custom.cfg"
+    cfg.write_text("problem = custom\ndomain = checkerboard\n"
+                   "a.0 = 100\na.1 = 100\na.6 = 100\na.7 = 100\n"
+                   "f.0.0 = 1\n")
+    outs = {"custom": ("--config", str(cfg)),
+            "builtin": ("--problem", "checkerboard")}
+    for name, argv in outs.items():
+        assert main(["run", *argv, "--max-dofs", "30000",
+                     "--out", str(tmp_path / name)]) == 0
+
+    def trace_without_secs(out):
+        with open(out / "trace.csv", newline="") as fh:
+            return [{k: v for k, v in r.items() if k != "secs"}
+                    for r in csv.DictReader(fh)]
+
+    custom, built = tmp_path / "custom", tmp_path / "builtin"
+    assert len(trace_without_secs(custom)) > 40
+    assert trace_without_secs(custom) == trace_without_secs(built)
+    for fn in ("final_mesh.txt", "indicators.csv"):
+        assert (custom / fn).read_bytes() == (built / fn).read_bytes()

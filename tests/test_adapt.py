@@ -10,7 +10,7 @@ from amfem.adapt import (AdaptTrace, TRACE_COLUMNS, amfem, approx_data,
                          contraction_scan, data_osc_elem, dorfler_mark,
                          fit_rate, make_reference, two_step)
 from amfem.mesh import create_initial, uniform_refine
-from amfem.problems import builtin
+from amfem.problems import builtin, piecewise
 from amfem.util import ordered_sum
 
 
@@ -160,6 +160,53 @@ def test_refinement_over_budget_is_never_built(monkeypatch):
     assert [r["n_marked"] for r in trace.rows] == [0]
 
 
+# reason: (problem, amfem keywords, MAX_ITER or None)
+STOP_CASES = {
+    "eps": ("square_sine", {"eps": 0.8}, None),
+    "budget": ("square_sine", {"max_dofs": 300}, None),
+    "max_iter": ("square_sine", {}, 2),
+    # f = 0 and g = 0: the solution and every indicator vanish
+    "nothing_marked": ("zero", {}, None),
+}
+
+
+@pytest.mark.parametrize("reason", STOP_CASES)
+def test_amfem_says_why_it_stopped(reason, monkeypatch):
+    import amfem.adapt as adapt
+    name, kw, max_iter = STOP_CASES[reason]
+    if max_iter is not None:
+        monkeypatch.setattr(adapt, "MAX_ITER", max_iter)
+    prob = piecewise("zero", "unit_square", np.ones(2), {}) \
+        if name == "zero" else builtin(name)
+    trace = amfem(prob, theta=0.5, **{"max_dofs": 100_000, **kw})
+    assert trace.stop == reason
+    last = trace.rows[-1]
+    assert last["n_marked"] == 0
+    if reason == "eps":
+        assert np.sqrt(last["eta2"]) < kw["eps"]
+    elif reason == "budget":
+        assert last["n_flux_dofs"] <= kw["max_dofs"]
+    elif reason == "max_iter":
+        assert len(trace.rows) == max_iter + 1
+        assert last["n_flux_dofs"] < 100
+    else:
+        assert len(trace.rows) == 1 and last["eta2"] == 0.0
+
+
+def test_budget_stops_before_and_at_the_budget():
+    # a refinement that must exceed the budget is not built; an initial
+    # mesh at the budget is not refined
+    assert amfem(builtin("square_sine"), b=12, max_dofs=200).stop == "budget"
+    trace = amfem(builtin("square_sine"), max_dofs=5)
+    assert trace.stop == "budget" and len(trace.rows) == 1
+
+
+def test_two_step_stop_is_the_adaptive_phase_reason():
+    assert two_step(builtin("square_sine"), eps=0.5).stop == "eps"
+    trace = two_step(builtin("square_sine"), eps=0.01, max_dofs=2000)
+    assert trace.stop == "budget"
+
+
 def test_amfem_rejects_unknown_knobs():
     with pytest.raises(ValueError):
         amfem(builtin("square_sine"), mode="random")
@@ -279,7 +326,7 @@ def test_contraction_scan_needs_errors():
 
 
 def test_approx_data_meets_tolerance():
-    f = lambda x: np.atleast_2d(x)[:, 0]
+    f = lambda x, roots: np.atleast_2d(x)[:, 0]
     mesh0 = create_initial("unit_square")
     osc0 = np.sqrt(ordered_sum(data_osc_elem(f, mesh0)))
     for k in (1, 3, 5):

@@ -346,6 +346,20 @@ def test_mutated_config_raises_only_config_error(tmp_path_factory, pos, cut,
         pass
 
 
+@pytest.mark.parametrize("lines, stop", [
+    (("problem = square_pwconst", "max_dofs = 400"), "budget"),
+    (("problem = square_sine", "eps = 0.8"), "eps"),
+    # no source and homogeneous boundary data: nothing to mark
+    (("problem = custom",), "nothing_marked"),
+])
+def test_summary_says_why_the_run_stopped(tmp_path, lines, stop):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    assert run_cli("run", "--config", str(cfg), "--out", str(out)) == 0
+    assert json.loads((out / "summary.json").read_text())["stop"] == stop
+
+
 def test_missing_config_file_exits_2(tmp_path):
     assert run_cli("run", "--config", str(tmp_path / "nope.cfg")) == 2
 
@@ -484,9 +498,10 @@ def test_custom_problem_coefficients():
     import numpy as np
     prob = make_custom_problem({"a.0": 4.0, "f.1.0": 1.0, "f.0.2.0": -0.5})
     pts = np.array([[0.25, 0.125], [0.75, 0.875]])  # region 0, region 1
-    a = prob.A(pts)
+    roots = np.array([0, 1])
+    a = prob.A(pts, roots)
     assert a[0, 0, 0] == 4.0 and a[0, 1, 1] == 4.0
     assert a[1, 0, 0] == 1.0
-    f = prob.f(pts)
+    f = prob.f(pts, roots)
     assert f[0] == pytest.approx(0.25 - 0.5 * 0.25 ** 2)
     assert f[1] == pytest.approx(0.75)

@@ -4,14 +4,16 @@ import numpy as np
 import pytest
 
 import amfem.quadrature as quad
-from amfem.estimate import indicators_full, indicators_stress, oscillations
+from amfem.cli import make_custom_problem
+from amfem.estimate import (_edge_jumps, indicators_full, indicators_stress,
+                            oscillations)
 from amfem.adapt import solve_on
 from amfem.fem import FluxField
 from amfem.mesh import create_initial, refine, uniform_refine
 from amfem.problems import ProblemSpec, builtin
 
 
-def identity_A(x):
+def identity_A(x, roots):
     x = np.atleast_2d(x)
     return np.broadcast_to(np.eye(2), (x.shape[0], 2, 2)).copy()
 
@@ -28,21 +30,21 @@ def zero_field(mesh):
 def varcoef_problem():
     """A = (1 + x^2) I: smooth, symmetric, with a nonzero Curl A^-1."""
 
-    def A(x):
+    def A(x, roots):
         x = np.atleast_2d(x)
         return (1.0 + x[:, 0] ** 2)[:, None, None] * np.eye(2)[None]
 
-    def A_inv(x):
+    def A_inv(x, roots):
         x = np.atleast_2d(x)
         return (1.0 / (1.0 + x[:, 0] ** 2))[:, None, None] * np.eye(2)[None]
 
-    def curl_A_inv(x):
+    def curl_A_inv(x, roots):
         x = np.atleast_2d(x)
         gx = -2.0 * x[:, 0] / (1.0 + x[:, 0] ** 2) ** 2
         return np.stack([np.zeros_like(gx), gx], axis=-1)
 
     return ProblemSpec(name="varcoef", domain="unit_square", A=A,
-                       A_inv=A_inv, f=lambda x: np.ones(
+                       A_inv=A_inv, f=lambda x, roots: np.ones(
                            np.atleast_2d(x).shape[0]),
                        curl_A_inv=curl_A_inv)
 
@@ -54,7 +56,7 @@ def varcoef_problem():
 def test_data_term_linear_source():
     # f = x on the two-triangle square: h_T^2 ||f - f_T||^2 = 1/72 per
     # element (variance of a linear function over a half square)
-    prob = make_problem(lambda x: np.atleast_2d(x)[:, 0])
+    prob = make_problem(lambda x, roots: np.atleast_2d(x)[:, 0])
     mesh = create_initial("unit_square")
     rep = indicators_stress(mesh, zero_field(mesh), prob)
     assert np.allclose(rep.data2, 1.0 / 72.0, rtol=1e-14)
@@ -63,7 +65,7 @@ def test_data_term_linear_source():
 
 
 def test_zero_everything_gives_zero_estimator():
-    prob = make_problem(lambda x: np.zeros(np.atleast_2d(x).shape[0]))
+    prob = make_problem(lambda x, roots: np.zeros(np.atleast_2d(x).shape[0]))
     mesh = uniform_refine(create_initial("unit_square"), 2)
     rep = indicators_stress(mesh, zero_field(mesh), prob)
     assert rep.eta2 == 0.0
@@ -94,7 +96,8 @@ def test_curl_term_matches_independent_quadrature():
     pts = quad.tri_points(quad.TRI_7, mesh.vertices[mesh.triangles])
     el = np.arange(mesh.n_elements)
     vals = sol.field.eval(el, pts)
-    cai = prob.curl_A_inv(pts.reshape(-1, 2)).reshape(pts.shape)
+    cai = prob.curl_A_inv(pts.reshape(-1, 2), np.repeat(
+        mesh.root_elem, pts.shape[1])).reshape(pts.shape)
     cv = np.einsum("tqd,tqd->tq", cai, vals)
     manual = mesh.areas ** 2 * ((cv ** 2) @ quad.TRI_7[1])
     # different quadrature degrees, so agreement is approximate
@@ -116,7 +119,8 @@ def test_element_oscillations_match_least_squares_fits():
     pts = quad.tri_points(quad.TRI_6, mesh.vertices[mesh.triangles])
     w = quad.TRI_6[1]
     q = sol.field.eval(np.arange(mesh.n_elements), pts)
-    cai = prob.curl_A_inv(pts.reshape(-1, 2)).reshape(pts.shape)
+    cai = prob.curl_A_inv(pts.reshape(-1, 2), np.repeat(
+        mesh.root_elem, pts.shape[1])).reshape(pts.shape)
     curl = np.einsum("tqd,tqd->tq", cai, q)
     aq = q / (1.0 + pts[..., :1] ** 2)
     ref_curl = np.empty(mesh.n_elements)
@@ -135,7 +139,7 @@ def test_element_oscillations_match_least_squares_fits():
 
 
 def test_jump_locality_single_edge_field():
-    prob = make_problem(lambda x: np.zeros(np.atleast_2d(x).shape[0]))
+    prob = make_problem(lambda x, roots: np.zeros(np.atleast_2d(x).shape[0]))
     mesh = uniform_refine(create_initial("unit_square"), 3)
     interior = np.flatnonzero(~mesh.boundary_edge)
     e = int(interior[interior.size // 2])
@@ -149,6 +153,34 @@ def test_jump_locality_single_edge_field():
     outside = np.setdiff1d(np.arange(mesh.n_elements), sorted(allowed))
     assert np.all(rep.eta2_elem[outside] == 0.0)
     assert rep.eta2_elem[sorted(support)].min() > 0.0
+
+
+def test_interface_traces_read_their_own_side():
+    # a custom checkerboard on a mesh graded toward the centre, where all
+    # four coefficient interfaces meet, down to h_T <= 1e-6: with a constant
+    # flux q each side's trace is exactly (1/a) q.tau, read by the side's
+    # own initial element however close the edge points lie to both
+    a = np.ones(8)
+    a[[0, 1, 6, 7]] = 100.0
+    prob = make_custom_problem({"a.%d" % r: 100.0 for r in (0, 1, 6, 7)},
+                               "checkerboard")
+    mesh = create_initial("checkerboard")
+    while mesh.areas.min() > 1e-12:
+        at = np.all(mesh.vertices[mesh.triangles] == 0.5, axis=2)
+        mesh = refine(mesh, np.flatnonzero(at.any(axis=1))).mesh
+    q = np.array([0.3, -1.7])
+    field = FluxField(mesh, np.tile(q, (mesh.n_elements, 1)),
+                      np.zeros(mesh.n_elements))
+    jumps = _edge_jumps(mesh, field, prob, quad.EDGE_3)
+
+    inner = np.flatnonzero(~mesh.boundary_edge)
+    side_a = a[mesh.root_elem[mesh.edge_tris[inner]]]       # (n_inner, 2)
+    want = (1.0 / side_a[:, 0] - 1.0 / side_a[:, 1]) \
+        * (mesh.edge_tangents[inner] @ q)
+    interface = side_a[:, 0] != side_a[:, 1]
+    small = np.sqrt(mesh.areas[mesh.edge_tris[inner]].min(axis=1)) <= 1e-6
+    assert np.count_nonzero(interface & small) >= 4
+    assert np.allclose(jumps[inner], want[:, None], rtol=1e-12, atol=0.0)
 
 
 def test_full_estimator_kappa_weight():

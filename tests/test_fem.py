@@ -18,7 +18,7 @@ from amfem.problems import ProblemSpec, builtin, exact_errors
 from test_estimate import varcoef_problem
 
 
-def identity_A(x):
+def identity_A(x, roots):
     x = np.atleast_2d(x)
     return np.broadcast_to(np.eye(2), (x.shape[0], 2, 2)).copy()
 
@@ -26,7 +26,8 @@ def identity_A(x):
 def const_problem(fval=1.0, name="const"):
     return ProblemSpec(name=name, domain="unit_square", A=identity_A,
                        A_inv=identity_A,
-                       f=lambda x: np.full(np.atleast_2d(x).shape[0], fval))
+                       f=lambda x, roots: np.full(np.atleast_2d(x).shape[0],
+                                                  fval))
 
 
 def edge_id(mesh, va, vb):
@@ -57,10 +58,10 @@ def test_dof_counts_initial_and_refined():
 
 def test_project_f_linear_is_centroid_value():
     m = create_initial("unit_square")
-    fe = project_f(lambda x: np.atleast_2d(x)[:, 0], m)
+    fe = project_f(lambda x, roots: np.atleast_2d(x)[:, 0], m)
     assert np.allclose(fe, m.centroids[:, 0], atol=1e-15)
     m2 = uniform_refine(m, 3)
-    fe2 = project_f(lambda x: np.atleast_2d(x)[:, 0], m2)
+    fe2 = project_f(lambda x, roots: np.atleast_2d(x)[:, 0], m2)
     assert np.allclose(fe2, m2.centroids[:, 0], atol=1e-14)
 
 
@@ -125,7 +126,8 @@ def test_mass_matrix_spd():
     m = uniform_refine(create_initial("unit_square"), 2)
     dm = build_dofmap(m)
     sys = assemble(m, dm, const_problem(),
-                   project_f(lambda x: np.zeros(np.atleast_2d(x).shape[0]), m))
+                   project_f(lambda x, roots: np.zeros(
+                       np.atleast_2d(x).shape[0]), m))
     loc = sys.loc
     assert np.array_equal(loc, loc.transpose(0, 2, 1))
     assert np.linalg.eigvalsh(loc).min() > 0.0
@@ -288,7 +290,8 @@ def einsum_mass_matrix(mesh, problem):
     _, w = quad.TRI_6
     verts = mesh.vertices[mesh.triangles]
     pts = mesh.quad_points
-    ainv = problem.A_inv(pts.reshape(-1, 2)).reshape(pts.shape + (2,))
+    ainv = problem.A_inv(pts.reshape(-1, 2), np.repeat(
+        mesh.root_elem, pts.shape[1])).reshape(pts.shape + (2,))
     s = mesh.tri_edge_sign.astype(np.float64)
     inv2a = 1.0 / (2.0 * mesh.areas)
     basis = (pts[:, :, None, :] - verts[:, None, :, :]) \
@@ -377,7 +380,7 @@ def test_assemble_refuses_unusable_input(case, match):
             "non_symmetric": [[1.0, 0.5], [0.0, 1.0]],
             "nan": [[np.nan, 0.0], [0.0, 1.0]]}.get(case)
     if ainv is not None:
-        prob = replace(prob, A_inv=lambda x: np.broadcast_to(
+        prob = replace(prob, A_inv=lambda x, roots: np.broadcast_to(
             np.array(ainv), (x.shape[0], 2, 2)).copy())
     elif case == "foreign_dofmap":
         dofmap = build_dofmap(create_initial("unit_square"))
@@ -397,11 +400,11 @@ def test_coefficient_scaling():
     base = builtin("square_sine")
     c = 7.0
 
-    def A_scaled(x):
-        return c * base.A(x)
+    def A_scaled(x, roots):
+        return c * base.A(x, roots)
 
-    def A_inv_scaled(x):
-        return base.A_inv(x) / c
+    def A_inv_scaled(x, roots):
+        return base.A_inv(x, roots) / c
 
     scaled = ProblemSpec(name="scaled", domain=base.domain, A=A_scaled,
                          A_inv=A_inv_scaled, f=base.f)

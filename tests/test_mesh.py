@@ -322,11 +322,12 @@ def test_reject_edge_with_three_elements(tris):
         Mesh(CLAIM_VERTS, np.array(tris))
 
 
-def test_reject_duplicate_edge_use():
+def test_reject_collinear_element():
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0],
                       [2.0, 0.0]])
-    tris = np.array([[0, 1, 2], [1, 3, 2], [0, 1, 4]])  # (0,1) used twice
-    with pytest.raises(MeshError):
+    # (0,0), (1,0) and (2,0) are collinear: element 2 has zero area
+    tris = np.array([[0, 1, 2], [1, 3, 2], [0, 1, 4]])
+    with pytest.raises(MeshError, match="^element with non-positive area"):
         Mesh(verts, tris)
 
 

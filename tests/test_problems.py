@@ -15,7 +15,7 @@ from amfem.problems import (BUILTIN_PROBLEMS, ProblemSpec, builtin,
 from amfem.util import ordered_sum
 
 
-def identity_A(x):
+def identity_A(x, roots):
     x = np.atleast_2d(x)
     return np.broadcast_to(np.eye(2), (x.shape[0], 2, 2)).copy()
 
@@ -33,7 +33,7 @@ def bubble_problem():
         gy = x[:, 0] * (1 - x[:, 0]) * (1 - 2 * x[:, 1])
         return np.stack([gx, gy], axis=-1)
 
-    def f(x):
+    def f(x, roots):
         x = np.atleast_2d(x)
         return 2 * x[:, 1] * (1 - x[:, 1]) + 2 * x[:, 0] * (1 - x[:, 0])
 
@@ -42,10 +42,11 @@ def bubble_problem():
 
 
 def interior_points(problem, rng, n, min_r=0.0):
-    """Random points inside the domain, optionally away from the origin."""
+    """Random points inside the domain, optionally away from the origin,
+    and the initial element of each."""
     mesh = create_initial(problem.domain)
     cent = mesh.centroids
-    pts = []
+    pts, roots = [], []
     while len(pts) < n:
         t = int(rng.integers(mesh.n_elements))
         lam = rng.dirichlet(np.ones(3))
@@ -54,7 +55,8 @@ def interior_points(problem, rng, n, min_r=0.0):
         x = 0.7 * x + 0.3 * cent[t]
         if np.hypot(*x) >= min_r:
             pts.append(x)
-    return np.array(pts)
+            roots.append(t)
+    return np.array(pts), np.array(roots)
 
 
 # ---------------------------------------------------------------------------
@@ -72,9 +74,9 @@ def test_registry_and_unknown_name():
 def test_coefficient_inverse_pair(name):
     prob = builtin(name)
     rng = np.random.default_rng(1)
-    x = interior_points(prob, rng, 40)
-    A = prob.A(x)
-    Ainv = prob.A_inv(x)
+    x, roots = interior_points(prob, rng, 40)
+    A = prob.A(x, roots)
+    Ainv = prob.A_inv(x, roots)
     assert np.allclose(A @ Ainv, np.eye(2)[None], atol=1e-12)
     # symmetric positive definite
     assert np.allclose(A, np.transpose(A, (0, 2, 1)), atol=1e-14)
@@ -91,13 +93,13 @@ def test_has_exact_flags():
 def test_pwconst_source_sign_split():
     prob = builtin("square_pwconst")
     x = np.array([[0.75, 0.25], [0.25, 0.75], [0.6, 0.1]])
-    assert np.allclose(prob.f(x), [1.0, -1.0, 1.0])
+    assert np.allclose(prob.f(x, np.array([0, 1, 0])), [1.0, -1.0, 1.0])
 
 
 def test_checkerboard_contrast_layout():
     prob = builtin("checkerboard")
     pts = np.array([[0.25, 0.25], [0.75, 0.75], [0.25, 0.75], [0.75, 0.25]])
-    a = prob.A(pts)[:, 0, 0]
+    a = prob.A(pts, np.array([0, 6, 4, 2]))[:, 0, 0]
     assert np.allclose(a, [100.0, 100.0, 1.0, 1.0])
 
 
@@ -109,13 +111,14 @@ def test_checkerboard_contrast_layout():
 def test_flux_is_coefficient_times_gradient(name):
     prob = builtin(name)
     rng = np.random.default_rng(4)
-    x = interior_points(prob, rng, 30, min_r=0.3 if "lshape" in name else 0.0)
+    x, roots = interior_points(prob, rng, 30,
+                               min_r=0.3 if "lshape" in name else 0.0)
     h = 1e-5
     ex, ey = np.array([h, 0.0]), np.array([0.0, h])
     gx = (prob.exact_u(x + ex) - prob.exact_u(x - ex)) / (2 * h)
     gy = (prob.exact_u(x + ey) - prob.exact_u(x - ey)) / (2 * h)
     grad = np.stack([gx, gy], axis=-1)
-    want = np.einsum("nij,nj->ni", prob.A(x), grad)
+    want = np.einsum("nij,nj->ni", prob.A(x, roots), grad)
     assert np.allclose(prob.exact_p(x), want, atol=1e-6)
 
 
@@ -123,12 +126,13 @@ def test_flux_is_coefficient_times_gradient(name):
 def test_flux_divergence_balances_source(name):
     prob = builtin(name)
     rng = np.random.default_rng(9)
-    x = interior_points(prob, rng, 30, min_r=0.3 if "lshape" in name else 0.0)
+    x, roots = interior_points(prob, rng, 30,
+                               min_r=0.3 if "lshape" in name else 0.0)
     h = 1e-5
     ex, ey = np.array([h, 0.0]), np.array([0.0, h])
     div = (prob.exact_p(x + ex)[:, 0] - prob.exact_p(x - ex)[:, 0]
            + prob.exact_p(x + ey)[:, 1] - prob.exact_p(x - ey)[:, 1]) / (2 * h)
-    assert np.allclose(div, -prob.f(x), atol=1e-5)
+    assert np.allclose(div, -prob.f(x, roots), atol=1e-5)
 
 
 def boundary_flux(problem, mesh):
@@ -148,7 +152,8 @@ def test_divergence_theorem_square_sine():
     prob = builtin("square_sine")
     mesh = uniform_refine(create_initial("unit_square"), 5)
     pts = quad.tri_points(quad.TRI_7, mesh.vertices[mesh.triangles])
-    fv = prob.f(pts.reshape(-1, 2)).reshape(pts.shape[0], pts.shape[1])
+    fv = prob.f(pts.reshape(-1, 2), np.repeat(mesh.root_elem, pts.shape[1])
+                ).reshape(pts.shape[0], pts.shape[1])
     int_f = float(np.sum((fv @ quad.TRI_7[1]) * mesh.areas))
     assert boundary_flux(prob, mesh) + int_f == pytest.approx(0.0, abs=1e-5)
 

@@ -1,7 +1,9 @@
 """Trace agreement: the benchmark workloads refine the same meshes.
 
-Runs the four ``BENCHMARK.json`` workload commands and the full estimator
-(kappa = 0.5) at 3 000 flux dofs and pins, per run, the sha256 of
+Runs the four ``BENCHMARK.json`` workload commands, the full estimator
+(kappa = 0.5) and the two piecewise-coefficient paths (the built-in
+``square_pwconst`` and a custom L-shape config) at 3 000 flux dofs and
+pins, per run, the sha256 of
 ``final_mesh.txt``, the sha256 of the integer ``trace.csv`` columns and the
 ``eta2`` column to 1e-12 relative.  A change in arithmetic order moves
 ``eta2`` by round-off only, inside that tolerance.  When such a change flips
@@ -18,6 +20,13 @@ import pytest
 from amfem.cli import main
 
 INT_COLUMNS = ("k", "n_elem", "n_flux_dofs", "n_marked")
+
+# config files of the runs that need one, passed as ``--config``
+CONFIGS = {
+    "custom_lshape": "problem = custom\ndomain = lshape\na.0 = 4\n"
+                     "a.3 = 0.01\nf.1.0 = 1\nf.2.0.1 = -2.5\n"
+                     "max_dofs = 3000\n",
+}
 
 # name: (argv, final_mesh.txt sha256, integer columns sha256,
 #        final eta2, sum of the eta2 column)
@@ -48,6 +57,16 @@ RUNS = {
         "96abd25b8cf166be26a4b06c79039f87b0080a7a4d3d656d03adef58524f2a1e",
         "1bff534ef98a7752765c97dc52fb3c69ce540a79ded01320e34ffc1bb8927f7a",
         0.06982464117718139, 183.6199444557283),
+    "square_pwconst": (
+        ("--problem", "square_pwconst"),
+        "e70ab4c4a93e86ac83544c71ad3133231ee479527e6d9e83d70b2528ca78b8af",
+        "b1b4d78232fa495e8044a328babeab128f17042b81b53ddb5cc0c1f69eceb3c1",
+        0.0008605687908041707, 2.1095793729389385),
+    "custom_lshape": (
+        (),
+        "4a9bb12cff7635ce0a7fea1b8b592badf94405cd4b97819b4efb23d3d307cde0",
+        "019b7f6b4ee381dd123687ea89d5f5a6c86a6a28391d71ca4a13ca63ccba3ace",
+        0.3780594702529452, 721.5618568482423),
 }
 
 
@@ -65,6 +84,10 @@ def fingerprint(out):
 @pytest.mark.parametrize("name", RUNS)
 def test_workload_trace_agrees(name, tmp_path):
     argv, mesh_sha, ints_sha, eta2_final, eta2_sum = RUNS[name]
+    if name in CONFIGS:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(CONFIGS[name])
+        argv = ("--config", str(cfg), *argv)
     out = tmp_path / "out"
     assert main(["run", *argv, "--max-dofs", "3000", "--out", str(out)]) == 0
     got = fingerprint(out)
