@@ -50,11 +50,17 @@ oscillation never exceeds the matching estimator term); edges use a
 5-point rule because a 3-point rule would interpolate the quadratic basis
 exactly and return identically zero residuals.
 
-Every term samples the flux the same way: ``_element_samples`` gives
-A^-1 q and curl(A^-1 q) at the mesh's cached 6-point rule points
-``mesh.quad_points``, ``_edge_jumps`` the
-tangential jumps at edge points, and ``_element_term`` / ``_edge_term``
-turn samples into the weighted per-element squares above.
+Every term samples the flux the same way: ``_element_samples`` gives A^-1 q
+and curl(A^-1 q) at the mesh's cached 6-point rule points
+``mesh.quad_points``, ``_edge_jumps`` the tangential jumps at edge points,
+and ``_element_term`` / ``_edge_term`` turn samples into the weighted
+per-element squares above.
+
+For A = a_T I with a_T constant per initial element (``problem.a``, every
+built-in), 1/a_T is read once per element and A^-1 q is affine on elements
+and edges: ``curl2``, ``curl_osc2``, ``disp_osc2`` and the interior part of
+``jump_osc2`` vanish identically and are returned as exact zeros; of
+``jump_osc2`` the residual of -g_tan on boundary edges is left.
 """
 
 from dataclasses import dataclass, field as dc_field
@@ -62,7 +68,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .fem import (FluxField, MixedSolution, PwConstData, coef_at,
-                  eval_f_on_elements)
+                  eval_f_on_elements, root_a_inv)
 from .mesh import MeshError
 from .quadrature import TRI_6, EDGE_3, EDGE_5, edge_points
 from .util import ordered_sum
@@ -145,8 +151,11 @@ _P2_EDGE_RESIDUAL = _projection_residual(
 def _element_samples(mesh, field, problem):
     """A^-1 q and curl(A^-1 q) at the 6-point rule points of each element."""
     pts = mesh.quad_points
-    ainv = coef_at(problem.A_inv, mesh.root_elem, pts)
     q = field.eval(np.arange(mesh.n_elements), pts)
+    a_inv = root_a_inv(problem, mesh)
+    if a_inv is not None:
+        return a_inv[:, None, None] * q, np.zeros(pts.shape[:2])
+    ainv = coef_at(problem.A_inv, mesh.root_elem, pts)
     curl = field.beta[:, None] * (ainv[:, :, 1, 0] - ainv[:, :, 0, 1])
     if problem.curl_A_inv is not None:
         cai = coef_at(problem.curl_A_inv, mesh.root_elem, pts)
@@ -167,26 +176,28 @@ def _p1_residual(values):
 
 
 def _edge_jumps(mesh, field, problem, rule):
-    """Jump of A^-1 q . tau at edge quadrature points, shape (ne, q)."""
+    """Jump of A^-1 q . tau at edge points, (ne, q); traces 0 if no field."""
     a = mesh.vertices[mesh.edges[:, 0]]
     b = mesh.vertices[mesh.edges[:, 1]]
     epts = edge_points(rule, a, b)                       # (ne, q, 2)
     tau = mesh.edge_tangents
     ne, q = epts.shape[:2]
-    # every element side of every edge in one batch, each side reading A^-1
-    # by its own element's root; a missing side keeps a zero trace
-    e, side = np.nonzero(mesh.edge_tris >= 0)
-    t = mesh.edge_tris[e, side]
-    # the batch sets the estimator's peak memory, so each array is dropped
-    # once used
-    pts = epts[e]
-    qv = field.eval(t, pts)
-    ainv = coef_at(problem.A_inv, mesh.root_elem[t], pts)
-    del pts
-    av = np.einsum("eqab,eqb->eqa", ainv, qv)
-    del ainv, qv
     traces = np.zeros((ne, 2, q))
-    traces[e, side] = np.einsum("eqd,ed->eq", av, tau[e])
+    if field is not None:
+        # every element side of every edge in one batch, each side reading
+        # A^-1 by its own element's root; a missing side keeps a zero trace
+        e, side = np.nonzero(mesh.edge_tris >= 0)
+        t = mesh.edge_tris[e, side]
+        # the batch sets the estimator's peak memory, so each array is
+        # dropped once used
+        pts = epts[e]
+        qv = field.eval(t, pts)
+        a_inv = root_a_inv(problem, mesh)
+        av = a_inv[t][:, None, None] * qv if a_inv is not None else \
+            np.einsum("eqab,eqb->eqa", coef_at(problem.A_inv,
+                                               mesh.root_elem[t], pts), qv)
+        del pts, qv
+        traces[e, side] = np.einsum("eqd,ed->eq", av, tau[e])
 
     # side 0 minus side 1 inside; the one-sided trace on the boundary
     bnd = mesh.boundary_edge
@@ -221,12 +232,12 @@ def data_osc_elem(f, mesh):
 def indicators_stress(mesh, sol_or_field, problem):
     """Stress estimator, the default input of the marking step."""
     fld = _as_field(mesh, sol_or_field)
-    _, curl = _element_samples(mesh, fld, problem)
     jumps = _edge_jumps(mesh, fld, problem, EDGE_3)
     return IndicatorReport(
         mesh=mesh,
         data2=data_osc_elem(problem.f, mesh),
-        curl2=_element_term(mesh, curl),
+        curl2=(np.zeros(mesh.n_elements) if problem.a is not None else
+               _element_term(mesh, _element_samples(mesh, fld, problem)[1])),
         jump2=_edge_term(mesh, jumps, EDGE_3))
 
 
@@ -260,10 +271,16 @@ def oscillations(mesh, sol_or_field, problem):
     displacement residual part per element.
     """
     fld = _as_field(mesh, sol_or_field)
-    aq, curl = _element_samples(mesh, fld, problem)
+    curl_osc2 = disp_osc2 = np.zeros(mesh.n_elements)
+    if problem.a is None:
+        aq, curl = _element_samples(mesh, fld, problem)
+        curl_osc2 = _element_term(mesh, _p1_residual(curl))
+        disp_osc2 = _element_term(mesh, _p1_residual(aq))
+    else:   # A^-1 q is affine: only -g_tan leaves a jump residual
+        fld = None
     jumps = _edge_jumps(mesh, fld, problem, EDGE_5) @ _P2_EDGE_RESIDUAL.T
     return OscReport(
-        curl_osc2=_element_term(mesh, _p1_residual(curl)),
+        curl_osc2=curl_osc2,
         jump_osc2=_edge_term(mesh, jumps, EDGE_5),
         data_osc2=data_osc_elem(problem.f, mesh),
-        disp_osc2=_element_term(mesh, _p1_residual(aq)))
+        disp_osc2=disp_osc2)

@@ -39,8 +39,8 @@ from .quadrature import TRI_6, EDGE_3, edge_points
 
 __all__ = [
     "AssemblyError", "SolverError", "DofMap", "SaddleSystem", "MixedSolution",
-    "FluxField", "PwConstData", "build_dofmap", "coef_at", "project_f",
-    "assemble", "solve", "rt0_interpolate",
+    "FluxField", "PwConstData", "build_dofmap", "coef_at", "root_a_inv",
+    "project_f", "assemble", "solve", "rt0_interpolate",
 ]
 
 RESIDUAL_TOL = 1e-10
@@ -100,6 +100,26 @@ def coef_at(fn, roots, pts):
     vals = np.asarray(fn(pts.reshape(-1, 2), np.repeat(roots, q)),
                       dtype=np.float64)
     return vals.reshape(k, q, *vals.shape[1:])
+
+
+def root_a_inv(problem, mesh):
+    """1/a on each element for A = a I per root element (``problem.a``: one
+    value or one per root), None without ``a``; AssemblyError for a bad a."""
+    if problem.a is None:
+        return None
+    a = np.asarray(problem.a, dtype=np.float64)
+    if a.shape not in ((), (mesh.n_roots,)):
+        raise AssemblyError(f"a must hold one value per root element "
+                            f"({mesh.n_roots}), got shape {a.shape}")
+    a = np.broadcast_to(a, (mesh.n_roots,))
+    with np.errstate(divide="ignore", over="ignore"):
+        a_inv = 1.0 / a
+    # 1/a is finite and positive just where a is, and does not overflow
+    bad = np.flatnonzero(~(np.isfinite(a_inv) & (a_inv > 0.0)))
+    if bad.size:
+        raise AssemblyError(f"a = {float(a[bad[0]])!r} on root element "
+                            f"{bad[0]}: a and 1/a must be finite, positive")
+    return a_inv[mesh.root_elem]
 
 
 def eval_f_on_elements(f, mesh, pts):
@@ -212,14 +232,17 @@ def assemble(mesh, dofmap, problem, f_elem):
     _, w = TRI_6
     verts = mesh.vertices[mesh.triangles]                 # (nt, 3, 2)
     pts = mesh.quad_points                                # (nt, q, 2)
-    ainv = coef_at(problem.A_inv, mesh.root_elem, pts)    # (nt, q, 2, 2)
-    _check_spd(ainv.reshape(-1, 2, 2), pts.reshape(-1, 2))
 
     # outward basis at point x: (x - P_i) / (2|T|); the local mass matrix
     # is |T| sum_q w_q d_qi^T A^-1 d_qj / (2|T|)^2 with d_qi = x_q - P_i
     nt, nq, ne = mesh.n_elements, w.size, mesh.n_edges
     d = pts[:, :, None, :] - verts[:, None, :, :]         # (nt, q, 3, 2)
-    ad = np.matmul(d, ainv * w[:, None, None])           # (nt, q, 3, 2)
+    if problem.a is None:
+        ainv = coef_at(problem.A_inv, mesh.root_elem, pts)  # (nt, q, 2, 2)
+        _check_spd(ainv.reshape(-1, 2, 2), pts.reshape(-1, 2))
+        ad = np.matmul(d, ainv * w[:, None, None])       # (nt, q, 3, 2)
+    else:   # the same products: the off-diagonal zeros only add +-0
+        ad = d * (root_a_inv(problem, mesh)[:, None] * w)[:, :, None, None]
     loc = np.matmul(ad.transpose(0, 2, 1, 3).reshape(nt, 3, 2 * nq),
                     d.transpose(0, 1, 3, 2).reshape(nt, 2 * nq, 3))
     loc *= (0.25 / mesh.areas)[:, None, None]

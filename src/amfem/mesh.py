@@ -112,8 +112,8 @@ class Mesh:
         if root is None and np.all(self.node == 1):
             root = self
         self.root = root
-        n_roots = (root.n_elements if root is not None
-                   else int(self.root_elem.max(initial=-1)) + 1)
+        self.n_roots = n_roots = (root.n_elements if root is not None else
+                                  int(self.root_elem.max(initial=-1)) + 1)
         self._node_limit = 1 << (63 - n_roots.bit_length())
         if nt and (self.root_elem.min() < 0 or self.root_elem.max() >= n_roots
                    or self.node.min() < 1

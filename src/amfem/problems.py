@@ -10,6 +10,9 @@ holding the scalar curl of each column of ``A_inv``, ``f`` returns
 ``(n,)``.  The boundary data ``g`` and ``g_tan`` and the exact solutions
 are functions of the points alone.  :func:`piecewise` builds every problem
 whose A = a I and f are constant and polynomial per initial element.
+``ProblemSpec.a`` holds such an a, one value per initial element or one for
+all (every built-in sets it): assembly, estimator and error pass then read
+1/a once per element and never call ``A_inv``; ``a = None`` samples it.
 
 Built-in problems
 -----------------
@@ -37,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fem import coef_at, eval_f_on_elements
+from .fem import coef_at, eval_f_on_elements, root_a_inv
 from .mesh import ancestor_map
 from .quadrature import TRI_7, tri_points
 from .util import ordered_sum
@@ -61,18 +64,22 @@ class ProblemSpec:
     g_tan: callable = None       # tangential derivative of g, None means zero
     exact_u: callable = None
     exact_p: callable = None
+    a: object = None             # A = a I per initial element, or None
 
     @property
     def has_exact(self):
         return self.exact_p is not None
 
 
-def _const_identity(pts, roots):
-    n = pts.shape[0]
-    out = np.zeros((n, 2, 2))
-    out[:, 0, 0] = 1.0
-    out[:, 1, 1] = 1.0
-    return out
+def _scalar(a):
+    """``a``, ``A``, ``A_inv`` of A = a I, a per initial element or single."""
+    a = np.asarray(a, dtype=np.float64)
+
+    def times_eye(c):
+        return lambda pts, roots: np.multiply.outer(
+            c[roots] if c.ndim else np.full(len(roots), c), np.eye(2))
+
+    return {"a": a, "A": times_eye(a), "A_inv": times_eye(1.0 / a)}
 
 
 def _square_sine():
@@ -90,9 +97,8 @@ def _square_sine():
         return 2.0 * np.pi ** 2 * u(pts)
 
     return ProblemSpec(
-        name="square_sine", domain="unit_square",
-        A=_const_identity, A_inv=_const_identity,
-        f=f, exact_u=u, exact_p=p)
+        name="square_sine", domain="unit_square", f=f, exact_u=u, exact_p=p,
+        **_scalar(1.0))
 
 
 def _square_pwconst():
@@ -130,9 +136,8 @@ def _lshape_singular():
         return np.einsum("nd,nd->n", p(pts), tau)
 
     return ProblemSpec(
-        name="lshape_singular", domain="lshape",
-        A=_const_identity, A_inv=_const_identity,
-        f=f, g=u, g_tan=g_tan, exact_u=u, exact_p=p)
+        name="lshape_singular", domain="lshape", f=f, g=u, g_tan=g_tan,
+        exact_u=u, exact_p=p, **_scalar(1.0))
 
 
 def _checkerboard():
@@ -150,17 +155,10 @@ def piecewise(name, domain, a, f):
     initial element.  Both are read by the roots the coefficients are
     called with, as one gather over the per-root tables.
     """
-    a = np.asarray(a, dtype=np.float64)
-    a_inv = 1.0 / a
+    coef = _scalar(a)
     powers = sorted(f)
     table = np.array([f[m] for m in powers], dtype=np.float64).reshape(
-        len(powers), a.size).T                     # (n_roots, n_monomials)
-
-    def A(pts, roots):
-        return a[roots][:, None, None] * np.eye(2)
-
-    def A_inv(pts, roots):
-        return a_inv[roots][:, None, None] * np.eye(2)
+        len(powers), coef["a"].size).T             # (n_roots, n_monomials)
 
     def f_of(pts, roots):
         c = table[roots]
@@ -169,7 +167,7 @@ def piecewise(name, domain, a, f):
             out += c[:, m] * pts[:, 0] ** i * pts[:, 1] ** j
         return out
 
-    return ProblemSpec(name=name, domain=domain, A=A, A_inv=A_inv, f=f_of)
+    return ProblemSpec(name=name, domain=domain, f=f_of, **coef)
 
 
 BUILTIN_PROBLEMS = {
@@ -263,6 +261,8 @@ def flux_dist2(problem, mesh, field_a, field_b):
 
 def _flux_norm2(problem, mesh, pts, d):
     """||A^(-1/2) d||^2 from flux samples ``d`` at the TRI_7 points ``pts``."""
-    ainv = coef_at(problem.A_inv, mesh.root_elem, pts)
-    dens = np.einsum("tqa,tqab,tqb->tq", d, ainv, d)
+    a_inv = root_a_inv(problem, mesh)   # below: the einsum's nonzero products
+    dens = ((d * a_inv[:, None, None]) * d).sum(axis=-1) if a_inv is not None \
+        else np.einsum("tqa,tqab,tqb->tq", d,
+                       coef_at(problem.A_inv, mesh.root_elem, pts), d)
     return ordered_sum((dens @ TRI_7[1]) * mesh.areas)

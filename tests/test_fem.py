@@ -390,6 +390,29 @@ def test_assemble_refuses_unusable_input(case, match):
         assemble(m, dofmap, prob, f_elem)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf, 1e-320])
+def test_assemble_refuses_unusable_scalar_coefficient(bad):
+    # each root's a is checked once, together with its reciprocal: 1e-320
+    # is finite and positive, but 1 / 1e-320 overflows
+    prob = builtin("checkerboard")
+    a = prob.a.copy()
+    a[3] = bad
+    m = uniform_refine(create_initial("checkerboard"))
+    with pytest.raises(AssemblyError, match=(
+            "^a = .* on root element 3: a and 1/a must be finite, positive$")):
+        assemble(m, build_dofmap(m), replace(prob, a=a), np.ones(m.n_elements))
+
+
+def test_assemble_refuses_scalar_coefficient_of_wrong_length():
+    prob = replace(builtin("checkerboard"), a=np.ones(7))
+    m = uniform_refine(create_initial("checkerboard"))
+    with pytest.raises(AssemblyError, match=(
+            "^a must hold one value per root element \\(8\\), "
+            "got shape \\(7,\\)$")):
+        assemble(m, build_dofmap(m), prob, np.ones(m.n_elements))
+
+
 # ---------------------------------------------------------------------------
 # invariances
 

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 import amfem.quadrature as quad
-from amfem.adapt import data_osc_elem, solve_on
-from amfem.estimate import oscillations
-from amfem.fem import PwConstData, project_f
-from amfem.mesh import Mesh, create_initial, uniform_refine
+from amfem.adapt import data_osc_elem, make_reference, solve_on
+from amfem.estimate import (_P2_EDGE_RESIDUAL, _edge_jumps, _edge_term,
+                            indicators_full, indicators_stress, oscillations)
+from amfem.fem import PwConstData, assemble, build_dofmap, project_f
+from amfem.mesh import Mesh, create_initial, refine, uniform_refine
 from amfem.problems import (BUILTIN_PROBLEMS, ProblemSpec, builtin,
                             exact_errors, flux_dist2)
 from amfem.util import ordered_sum
@@ -101,6 +102,68 @@ def test_checkerboard_contrast_layout():
     pts = np.array([[0.25, 0.25], [0.75, 0.75], [0.25, 0.75], [0.75, 0.25]])
     a = prob.A(pts, np.array([0, 6, 4, 2]))[:, 0, 0]
     assert np.allclose(a, [100.0, 100.0, 1.0, 1.0])
+
+
+# ---------------------------------------------------------------------------
+# per-root scalar coefficients against the point-by-point path
+
+# where each domain's mesh is graded: the reentrant corner, a corner of the
+# square and the point where all four checkerboard interfaces meet
+GRADE_TOWARD = {"lshape": (0.0, 0.0), "unit_square": (1.0, 1.0),
+                "checkerboard": (0.5, 0.5)}
+
+
+def _graded(domain):
+    mesh = uniform_refine(create_initial(domain), 4)
+    for _ in range(12):
+        at = np.all(mesh.vertices[mesh.triangles] == GRADE_TOWARD[domain],
+                    axis=2)
+        mesh = refine(mesh, np.flatnonzero(at.any(axis=1))).mesh
+    return mesh
+
+
+def _through_every_layer(prob, mesh):
+    sol = solve_on(prob, mesh)
+    fe = project_f(prob.f, mesh)
+    loc = assemble(mesh, build_dofmap(mesh), prob, fe).loc
+    ref = None if prob.has_exact else make_reference(prob, mesh)
+    return (sol, loc, indicators_stress(mesh, sol, prob),
+            indicators_full(mesh, sol, prob, kappa=0.5),
+            oscillations(mesh, sol, prob), exact_errors(sol, prob, ref).E2)
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_PROBLEMS))
+def test_scalar_coefficients_equal_the_sampled_path(name):
+    # reading 1/a once per element performs the products of the sampled
+    # 2x2 path without its off-diagonal zeros, which only add +-0: the
+    # local matrices, both estimators and the error agree bit for bit
+    scalar = builtin(name)
+    assert scalar.a is not None
+    general = replace(scalar, a=None)
+    mesh = _graded(scalar.domain)
+    sol, loc, stress, full, osc, E2 = _through_every_layer(scalar, mesh)
+    _, loc_g, stress_g, full_g, osc_g, E2_g = _through_every_layer(
+        general, mesh)
+    assert np.array_equal(loc, loc_g)
+    assert np.array_equal(stress.eta2_elem, stress_g.eta2_elem)
+    assert np.array_equal(full.eta2_elem, full_g.eta2_elem)
+    assert E2 == E2_g
+
+    # A^-1 q_h is affine on each element, so the sampled path's curl,
+    # displacement and interior jump oscillations are round-off
+    jumps = _edge_jumps(mesh, sol.field, general, quad.EDGE_5) \
+        @ _P2_EDGE_RESIDUAL.T
+    jumps[mesh.boundary_edge] = 0.0
+    inner_jump_osc2 = _edge_term(mesh, jumps, quad.EDGE_5)
+    assert np.all(osc_g.curl_osc2 <= 1e-15 * stress_g.curl2)
+    assert np.all(osc_g.disp_osc2 <= 1e-15 * full_g.disp2)
+    assert np.all(inner_jump_osc2 <= 1e-15 * stress_g.jump2)
+    # the scalar path writes them as exact zeros
+    assert not osc.curl_osc2.any() and not osc.disp_osc2.any()
+    if scalar.g_tan is None:
+        assert not osc.jump_osc2.any()
+    assert abs(osc.osc2 - osc_g.osc2) <= 1e-15 * stress.eta2
+    assert np.array_equal(osc.data_osc2, osc_g.data_osc2)
 
 
 # ---------------------------------------------------------------------------
