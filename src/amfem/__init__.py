@@ -6,7 +6,7 @@ from .mesh import (Mesh, MeshError, RefineResult, create_initial, refine,
                    uniform_refine, overlay, ancestor_map)
 from .fem import (DofMap, SaddleSystem, MixedSolution, FluxField, PwConstData,
                   AssemblyError, SolverError, build_dofmap, project_f,
-                  assemble, solve, rt0_interpolate)
+                  assemble, solve)
 from .estimate import (IndicatorReport, OscReport, indicators_stress,
                        indicators_full, oscillations)
 from .problems import ProblemSpec, ErrorTriple, builtin, exact_errors
@@ -20,7 +20,7 @@ __all__ = [
     "uniform_refine", "overlay", "ancestor_map",
     "DofMap", "SaddleSystem", "MixedSolution", "FluxField", "PwConstData",
     "AssemblyError", "SolverError", "build_dofmap", "project_f", "assemble",
-    "solve", "rt0_interpolate",
+    "solve",
     "IndicatorReport", "OscReport", "indicators_stress", "indicators_full",
     "oscillations",
     "ProblemSpec", "ErrorTriple", "builtin", "exact_errors",

@@ -35,11 +35,12 @@ from .util import ordered_sum, write_csv
 __all__ = [
     "MarkSet", "AdaptTrace", "RateFit", "DataApproxError", "dorfler_mark",
     "solve_on", "amfem", "approx_data", "two_step", "fit_rate",
-    "contraction_scan", "make_reference", "data_osc_elem",
-    "DEFAULT_GAMMA_GRID",
+    "contraction_scan", "make_reference", "data_osc_elem", "GAMMA",
+    "GAMMA_GRID",
 ]
 
-DEFAULT_GAMMA_GRID = tuple(np.logspace(-3.0, 1.0, 13))
+GAMMA = 1.0               # weight of eta2 in the quasi-error E2 + GAMMA eta2
+GAMMA_GRID = tuple(np.logspace(-3.0, 1.0, 13))  # gammas of contraction_scan
 MAX_ITER = 100            # refinements per phase of a run
 THETA_DATA = 0.6          # bulk parameter of the data-approximation marking
 REFERENCE_LEVELS = 2      # uniform refinements behind a reference solution
@@ -148,8 +149,8 @@ class AdaptTrace:
 
 def solve_on(problem, mesh):
     """Project f onto ``mesh``, assemble and solve the mixed system there."""
-    f_elem = project_f(problem.f, mesh)
-    return solve(assemble(mesh, build_dofmap(mesh), problem, f_elem), f_elem)
+    return solve(assemble(mesh, build_dofmap(mesh), problem,
+                          project_f(problem.f, mesh)))
 
 
 def _measure(sol, problem, errors_vs):
@@ -178,8 +179,8 @@ def _refine_within(mesh, marked, b, max_dofs):
 
 
 def amfem(problem, eps=0.0, theta=0.5, b=1, max_dofs=100_000, mode="adaptive",
-          estimator="stress", kappa=1.0, gamma=1.0, mesh0=None, errors="auto",
-          keep=False, errors_vs=None):
+          estimator="stress", kappa=1.0, mesh0=None, errors="auto", keep=False,
+          errors_vs=None):
     """Run the adaptive (or uniform) loop and return its trace.
 
     Parameters
@@ -187,6 +188,7 @@ def amfem(problem, eps=0.0, theta=0.5, b=1, max_dofs=100_000, mode="adaptive",
     eps : stopping tolerance on the global estimator; the loop runs while
         ``eta_k >= eps`` and stops at the first iterate with ``eta_k < eps``,
         at the flux-dof budget ``max_dofs`` or after ``MAX_ITER`` refinements.
+    max_dofs : flux-dof budget; an initial mesh above it raises ValueError.
     b : bisections per marked element.
     mode : "adaptive" (bulk marking) or "uniform" (every element marked).
     errors : "auto" measures against the closed-form solution when one
@@ -205,12 +207,16 @@ def amfem(problem, eps=0.0, theta=0.5, b=1, max_dofs=100_000, mode="adaptive",
     if errors not in ("auto", "reference", "none"):
         raise ValueError(f"unknown errors {errors!r}")
     mesh = mesh0 if mesh0 is not None else create_initial(problem.domain)
+    # two_step's mesh0 exceeds the budget only when its initial mesh does
+    if max_dofs < mesh.n_edges:
+        raise ValueError(f"max_dofs {max_dofs} is below the {mesh.n_edges} "
+                         f"flux dofs of the initial mesh")
     keep_states = keep or errors == "reference"
 
     meta = {
         "problem": problem.name, "domain": problem.domain, "mode": mode,
         "estimator": estimator, "theta": theta, "kappa": kappa, "b": b,
-        "eps": eps, "max_dofs": max_dofs, "gamma": gamma,
+        "eps": eps, "max_dofs": max_dofs, "gamma": GAMMA,
         "errors": errors, "version": _pkg_version,
         "columns": list(TRACE_COLUMNS),
     }
@@ -234,7 +240,7 @@ def amfem(problem, eps=0.0, theta=0.5, b=1, max_dofs=100_000, mode="adaptive",
             "eta2": report.eta2, "osc2": osc.osc2, "osc_f2": osc.osc_f2,
             "n_marked": 0,
             "E2": None if et is None else et.E2,
-            "quasi_err": None if et is None else et.E2 + gamma * report.eta2,
+            "quasi_err": None if et is None else et.E2 + GAMMA * report.eta2,
             "secs": None,
         }
         if et is not None:
@@ -267,19 +273,19 @@ def amfem(problem, eps=0.0, theta=0.5, b=1, max_dofs=100_000, mode="adaptive",
             break
 
     if errors == "reference":
-        _backfill_reference(trace, problem, gamma, errors_vs)
+        _backfill_reference(trace, problem, errors_vs)
     if not keep:
         trace.states = [state]
     return trace
 
 
-def _backfill_reference(trace, problem, gamma, errors_vs):
+def _backfill_reference(trace, problem, errors_vs):
     ref_sol = make_reference(problem, trace.states[-1].mesh)
     prob = errors_vs if errors_vs is not None else problem
     for row, st in zip(trace.rows, trace.states):
         et = exact_errors(st.sol, prob, reference=ref_sol)
         row["E2"] = et.E2
-        row["quasi_err"] = et.E2 + gamma * row["eta2"]
+        row["quasi_err"] = et.E2 + GAMMA * row["eta2"]
         row["flux_err2"] = et.flux2
         row["surrogate"] = True
     trace.meta["reference_levels"] = REFERENCE_LEVELS
@@ -324,7 +330,7 @@ def approx_data(f, mesh0, tol):
     return mesh
 
 
-def two_step(problem, eps, theta=0.5, b=1, max_dofs=100_000, gamma=1.0):
+def two_step(problem, eps, theta=0.5, b=1, max_dofs=100_000):
     """Data approximation followed by the adaptive loop, each with eps/2.
 
     The second phase solves with the projected data, whose oscillation
@@ -342,7 +348,7 @@ def two_step(problem, eps, theta=0.5, b=1, max_dofs=100_000, gamma=1.0):
     # the adaptive phase continues on the data-approximation mesh, where
     # the projected source is resolved exactly
     trace = amfem(mod, eps=0.5 * eps, theta=theta, b=b, max_dofs=max_dofs,
-                  gamma=gamma, mesh0=mesh_h, errors_vs=problem)
+                  mesh0=mesh_h, errors_vs=problem)
     trace.meta.update({
         "problem": problem.name, "mode": "two_step", "eps": eps,
         "approx_rows": len(rows1), "theta_data": THETA_DATA,
@@ -390,8 +396,8 @@ def fit_rate(trace, quantity="flux_err"):
                    n_points=len(xs))
 
 
-def contraction_scan(trace, gammas=DEFAULT_GAMMA_GRID):
-    """Scan gamma for the best uniform quasi-error contraction factor.
+def contraction_scan(trace):
+    """Scan ``GAMMA_GRID`` for the best uniform quasi-error contraction factor.
 
     For each gamma the quasi-error is E2_k + gamma * eta2_k; returns the
     gamma minimizing the maximal consecutive ratio, that ratio and the
@@ -404,7 +410,7 @@ def contraction_scan(trace, gammas=DEFAULT_GAMMA_GRID):
     if E2.size < 2:
         raise ValueError("trace has fewer than two rows with errors")
     table = {}
-    for g in gammas:
+    for g in GAMMA_GRID:
         q = E2 + g * eta2
         table[float(g)] = float(np.max(q[1:] / q[:-1]))
     best = min(table, key=table.get)

@@ -18,7 +18,7 @@ Two subcommands:
 
 Configuration is flag-driven; ``--config FILE`` reads the same keys from
 a flat ``key = value`` text file (flags win over file values), where
-``domain``, ``gamma`` and the coefficient keys below are file-only.  Each
+``domain`` and the coefficient keys below are file-only.  Each
 key is a ``RunConfig`` field, named as its flag's destination, and a file
 value is parsed by the field's type.  Flag abbreviations are refused.
 Custom problems use ``problem = custom`` together with per-macro-element
@@ -52,8 +52,8 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import __version__
-from .adapt import (DEFAULT_GAMMA_GRID, DataApproxError, amfem,
-                    contraction_scan, fit_rate, two_step)
+from .adapt import (DataApproxError, amfem, contraction_scan, fit_rate,
+                    two_step)
 from .fem import AssemblyError, SolverError
 from .mesh import INITIAL_DOMAINS, MeshError, create_initial
 from .problems import BUILTIN_PROBLEMS, builtin, piecewise
@@ -100,8 +100,6 @@ class RunConfig:
     max_dofs: int = 100_000
     mode: str = "adaptive"
     estimator: str = "stress"
-    gamma: float = 1.0
-    gamma_grid: tuple = DEFAULT_GAMMA_GRID
     out: str = "amfem-out"
     coeffs: dict = field(default_factory=dict)
 
@@ -145,12 +143,6 @@ class RunConfig:
                                         or self.kappa != 1.0):
             raise ConfigError("two_step mode runs the stress estimator; "
                               "estimator and kappa do not apply")
-        if not 0.0 < self.gamma < np.inf:
-            raise ConfigError("gamma must be finite and positive, got %r"
-                              % self.gamma)
-        if len(self.gamma_grid) == 0 or \
-                not all(0.0 < g < np.inf for g in self.gamma_grid):
-            raise ConfigError("gamma_grid needs finite positive entries")
         if self.coeffs and self.problem != "custom":
             raise ConfigError(
                 "coefficient keys (a.*, f.*) require problem = custom")
@@ -191,8 +183,7 @@ def _as_int(key, val):
 
 def _apply_kv(cfg, kv):
     """Set each file key on ``cfg``, parsed by its RunConfig field's type."""
-    parsers = {float: _as_float, int: _as_int, str: lambda key, val: val,
-               tuple: lambda key, val: _parse_gamma_grid(val)}
+    parsers = {float: _as_float, int: _as_int, str: lambda key, val: val}
     types = {f.name: f.type for f in fields(RunConfig)}
     for key, val in kv.items():
         parse = parsers.get(types.get(key))
@@ -202,17 +193,6 @@ def _apply_kv(cfg, kv):
             cfg.coeffs[key] = _as_float(key, val)
         else:
             raise ConfigError("unknown config key %r" % key)
-
-
-def _parse_gamma_grid(text):
-    try:
-        grid = tuple(float(p) for p in text.split(",") if p.strip())
-    except ValueError:
-        raise ConfigError("gamma_grid must be comma-separated numbers, got %r"
-                          % text)
-    if not grid:
-        raise ConfigError("gamma_grid must not be empty")
-    return grid
 
 
 def load_config(path=None, overrides=None):
@@ -305,10 +285,10 @@ def make_custom_problem(coeffs, domain="unit_square"):
 def _run_trace(cfg, problem):
     if cfg.mode == "two_step":
         return two_step(problem, eps=cfg.eps, theta=cfg.theta, b=cfg.b,
-                        max_dofs=cfg.max_dofs, gamma=cfg.gamma)
+                        max_dofs=cfg.max_dofs)
     return amfem(problem, eps=cfg.eps, theta=cfg.theta, b=cfg.b,
                  max_dofs=cfg.max_dofs, mode=cfg.mode,
-                 estimator=cfg.estimator, kappa=cfg.kappa, gamma=cfg.gamma)
+                 estimator=cfg.estimator, kappa=cfg.kappa)
 
 
 def _summarize(cfg, trace):
@@ -320,7 +300,7 @@ def _summarize(cfg, trace):
     summary = {
         "version": __version__,
         **{f.name: getattr(cfg, f.name) for f in fields(cfg)
-           if f.name not in ("gamma_grid", "out", "coeffs")},
+           if f.name not in ("out", "coeffs")},
         "iterations": len(trace.rows), "stop": trace.stop, "final": final,
         "rate": None, "rate_quantity": None, "contraction": None,
     }
@@ -334,7 +314,7 @@ def _summarize(cfg, trace):
         summary["rate_quantity"] = quantity
         break
     try:
-        best, ratio, _ = contraction_scan(trace, cfg.gamma_grid)
+        best, ratio, _ = contraction_scan(trace)
         summary["contraction"] = {"best_gamma": best, "max_ratio": ratio}
     except ValueError:
         pass
@@ -443,8 +423,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser():
-    # no abbreviations: a prefix such as --gamma would silently set
-    # --gamma-grid instead of being refused as an unknown flag
+    # no abbreviations: a prefix such as --max would silently set
+    # --max-dofs instead of being refused as an unknown flag
     p = _Parser(prog="amfem", description=__doc__.splitlines()[0],
                 allow_abbrev=False)
     p.add_argument("--version", action="version",
@@ -464,8 +444,6 @@ def _build_parser():
     r.add_argument("--max-dofs", type=int, help="flux dof budget")
     r.add_argument("--mode", choices=MODES)
     r.add_argument("--estimator", choices=ESTIMATORS)
-    r.add_argument("--gamma-grid", type=_parse_gamma_grid,
-                   help="comma-separated gammas for the contraction scan")
     r.add_argument("--out", help="output directory")
     r.set_defaults(func=cmd_run)
 

@@ -27,7 +27,7 @@ are numbered in the nested-dissection order that
 :func:`amfem.mesh.dissection_order` reads off the bisection genealogy
 (George 1973), and SuperLU factorizes the system in that order.  The local
 matrices and the edge signs are all that is kept of M and B: the
-residuals of the refinement steps apply them element by element.
+residual of the refinement round applies them element by element.
 """
 
 import numpy as np
@@ -40,7 +40,7 @@ from .quadrature import TRI_6, EDGE_3, edge_points
 __all__ = [
     "AssemblyError", "SolverError", "DofMap", "SaddleSystem", "MixedSolution",
     "FluxField", "PwConstData", "build_dofmap", "coef_at", "root_a_inv",
-    "project_f", "assemble", "solve", "rt0_interpolate",
+    "project_f", "assemble", "solve",
 ]
 
 RESIDUAL_TOL = 1e-10
@@ -62,8 +62,6 @@ class DofMap:
 
     def __init__(self, mesh):
         self.mesh = mesh
-        self.n_flux = mesh.n_edges
-        self.n_disp = mesh.n_elements
 
 
 def build_dofmap(mesh):
@@ -186,13 +184,15 @@ class SaddleSystem:
 
     ``loc`` holds the local mass matrices (nt, 3, 3) in the outward basis
     (x - P_i) / (2|T|) of each element; with the edge signs they are the
-    whole operator.  ``rhs`` stacks the flux and divergence right-hand sides.
+    whole operator.  ``rhs`` stacks the flux and divergence right-hand sides,
+    the latter built from the cellwise source means ``f_elem``.
     """
 
-    def __init__(self, loc, rhs, dofmap):
+    def __init__(self, loc, rhs, dofmap, f_elem):
         self.loc = loc
         self.rhs = rhs
         self.dofmap = dofmap
+        self.f_elem = f_elem
 
     def apply(self, x):
         """``[[M, B^T], [B, 0]] @ x`` for ``x = (p, u)``: element T with
@@ -262,7 +262,7 @@ def assemble(mesh, dofmap, problem, f_elem):
             rhs[bed] = sign * (gv @ ew)
 
     rhs[ne:] = -mesh.areas * f_elem
-    return SaddleSystem(loc, rhs, dofmap)
+    return SaddleSystem(loc, rhs, dofmap, f_elem)
 
 
 class MixedSolution:
@@ -322,7 +322,7 @@ def _inv_sym3(a):
     return adj / (det * t)[:, None, None]
 
 
-def solve(system, f_elem):
+def solve(system):
     """Solve the saddle-point system by hybridization.
 
     On element T, with q its outward fluxes and e = (1, 1, 1), the local
@@ -335,8 +335,10 @@ def solve(system, f_elem):
     Flux continuity across the interior edges is the SPD system for their
     traces, numbered by :func:`amfem.mesh.dissection_order` and factorized
     once in that order (``permc_spec="NATURAL"``): each bisection region's
-    inner traces come before its separator, which bounds the fill.  Up to
-    two rounds of iterative refinement on the residual follow.
+    inner traces come before its separator, which bounds the fill.  One
+    round of iterative refinement on the residual follows, unless the
+    residual is already at round-off; one round suffices in working
+    precision (Skeel 1980).
 
     The residual contract ``||K x - rhs||_inf <= 1e-10 (1 + ||rhs||_inf)``
     is enforced; a violation raises :class:`SolverError`.
@@ -390,11 +392,8 @@ def solve(system, f_elem):
 
     rhs = system.rhs
     x = condensed(rhs)
-    # up to two rounds of iterative refinement
-    for _ in range(2):
-        r = rhs - system.apply(x)
-        if np.abs(r).max() <= 1e-16 * (1.0 + np.abs(rhs).max()):
-            break
+    r = rhs - system.apply(x)
+    if np.abs(r).max() > 1e-16 * (1.0 + np.abs(rhs).max()):
         x = x + condensed(r)
 
     residual = float(np.abs(system.apply(x) - rhs).max())
@@ -402,16 +401,5 @@ def solve(system, f_elem):
         raise SolverError(
             f"solver residual {residual:.3e} violates the contract")
 
-    return MixedSolution(mesh, x[:ne], x[ne:],
-                         np.asarray(f_elem, dtype=np.float64), residual)
+    return MixedSolution(mesh, x[:ne], x[ne:], system.f_elem, residual)
 
-
-def rt0_interpolate(mesh, p_exact):
-    """Canonical flux interpolant: edge integrals of the exact normal flux."""
-    a = mesh.vertices[mesh.edges[:, 0]]
-    b = mesh.vertices[mesh.edges[:, 1]]
-    pts = edge_points(EDGE_3, a, b)
-    _, w = EDGE_3
-    vals = np.asarray(p_exact(pts.reshape(-1, 2))).reshape(pts.shape)
-    flux = np.einsum("eqd,ed,q->e", vals, mesh.edge_normals, w)
-    return flux * mesh.edge_lengths

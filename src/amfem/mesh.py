@@ -35,10 +35,9 @@ so the element order is that of a loop over the parent elements.  This
 produces the same meshes as the classical recursive bisection and
 terminates for any initial labeling.
 
-A mesh is immutable once built.  Its element areas, centroids and the
-points of the 6-point element rule (``quad_points``) are computed on first
-use, kept read-only and shared by assembly, the estimator and the data
-oscillation.
+A mesh is immutable once built.  Its element areas and the points of the
+6-point element rule (``quad_points``) are computed on first use, kept
+read-only and shared by assembly, the estimator and the data oscillation.
 
 Edges carry a global orientation fixed by the lexicographic order of their
 endpoint indices: the tangent points from the lower to the higher index,
@@ -228,10 +227,6 @@ class Mesh:
         return _read_only(np.abs(self.signed_areas()))
 
     @cached_property
-    def centroids(self):
-        return _read_only(self.vertices[self.triangles].mean(axis=1))
-
-    @cached_property
     def quad_points(self):
         """Points of the 6-point rule ``TRI_6`` per element, shape (nt, 6, 2)."""
         return _read_only(tri_points(TRI_6, self.vertices[self.triangles]))
@@ -244,21 +239,7 @@ class Mesh:
         """max_T diam(T)^2 / |T|, the constant audited along refinements."""
         return float((self.diameters ** 2 / self.areas).max())
 
-    def patch(self, elem):
-        """Elements sharing an edge with ``elem``, including ``elem`` itself."""
-        ids = set()
-        for e in self.tri_edges[elem]:
-            for t in self.edge_tris[e]:
-                if t >= 0:
-                    ids.add(int(t))
-        ids.add(int(elem))
-        return np.array(sorted(ids), dtype=np.int64)
-
     # -- genealogy ---------------------------------------------------------
-
-    def identities(self):
-        """Per-element (root element, bisection-tree node) pairs."""
-        return list(zip(self.root_elem.tolist(), self.node.tolist()))
 
     def same_root_as(self, other):
         if self.root is None or other.root is None:

@@ -7,9 +7,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from amfem.adapt import (AdaptTrace, TRACE_COLUMNS, amfem, approx_data,
-                         contraction_scan, data_osc_elem, dorfler_mark,
-                         fit_rate, make_reference, two_step)
+from amfem.adapt import (AdaptTrace, GAMMA_GRID, TRACE_COLUMNS, amfem,
+                         approx_data, contraction_scan, data_osc_elem,
+                         dorfler_mark, fit_rate, make_reference, two_step)
 from amfem.mesh import create_initial, uniform_refine
 from amfem.problems import builtin, piecewise
 from amfem.util import ordered_sum
@@ -200,6 +200,24 @@ def test_budget_stops_before_and_at_the_budget():
     assert amfem(builtin("square_sine"), b=12, max_dofs=200).stop == "budget"
     trace = amfem(builtin("square_sine"), max_dofs=5)
     assert trace.stop == "budget" and len(trace.rows) == 1
+    assert trace.rows[0]["n_flux_dofs"] == 5
+
+
+@pytest.mark.parametrize("run", [
+    lambda **kw: amfem(builtin("square_sine"), **kw),
+    lambda **kw: two_step(builtin("square_sine"), eps=0.1, **kw),
+], ids=["amfem", "two_step"])
+def test_budget_below_the_initial_mesh_is_refused(run, monkeypatch):
+    # the initial unit square has 5 flux dofs; nothing is solved
+    import amfem.adapt as adapt
+
+    def no_solve(*args):
+        raise AssertionError("solved although the budget was refused")
+
+    monkeypatch.setattr(adapt, "solve_on", no_solve)
+    with pytest.raises(ValueError, match=(
+            "^max_dofs 3 is below the 5 flux dofs of the initial mesh$")):
+        run(max_dofs=3)
 
 
 def test_two_step_stop_is_the_adaptive_phase_reason():
@@ -330,9 +348,9 @@ def test_contraction_scan_synthetic():
     for k in range(6):
         trace.append({"n_elem": 2 ** k, "E2": 4.0 ** (-k),
                       "eta2": 4.0 ** (-k)})
-    best, ratio, table = contraction_scan(trace, gammas=(0.1, 1.0, 10.0))
+    best, ratio, table = contraction_scan(trace)
     assert ratio == pytest.approx(0.25, rel=1e-12)
-    assert set(table) == {0.1, 1.0, 10.0}
+    assert set(table) == set(GAMMA_GRID)
     assert all(v == pytest.approx(0.25, rel=1e-12) for v in table.values())
 
 

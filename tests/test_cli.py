@@ -173,9 +173,8 @@ def test_write_csv_cells(tmp_path):
 
 def test_every_run_config_field_is_a_file_key(tmp_path):
     text = ("problem = custom\ndomain = lshape\ntheta = 0.25\n"
-            "kappa = 0.5\nb = 2\neps = 0.5\nmax_dofs = 900\n"
-            "mode = uniform\nestimator = full\ngamma = 2\n"
-            "gamma_grid = 0.5, 2\nout = there\na.0 = 3\n")
+            "kappa = 0.5\nb = 2\neps = 2\nmax_dofs = 900\n"
+            "mode = uniform\nestimator = full\nout = there\na.0 = 3\n")
     keys = {ln.split(" =")[0] for ln in text.splitlines()}
     assert {f.name for f in fields(RunConfig)} - {"coeffs"} <= keys
     cfg = tmp_path / "all.cfg"
@@ -183,9 +182,9 @@ def test_every_run_config_field_is_a_file_key(tmp_path):
     got = load_config(str(cfg))
     assert got == RunConfig(
         problem="custom", domain="lshape", theta=0.25, kappa=0.5, b=2,
-        eps=0.5, max_dofs=900, mode="uniform", estimator="full", gamma=2.0,
-        gamma_grid=(0.5, 2.0), out="there", coeffs={"a.0": 3.0})
-    assert type(got.b) is int and type(got.gamma) is float
+        eps=2.0, max_dofs=900, mode="uniform", estimator="full", out="there",
+        coeffs={"a.0": 3.0})
+    assert type(got.b) is int and type(got.eps) is float
 
 
 def test_every_flag_reaches_its_run_config_field(monkeypatch):
@@ -199,12 +198,11 @@ def test_every_flag_reaches_its_run_config_field(monkeypatch):
     assert run_cli("run", "--problem", "custom", "--theta", "0.25",
                    "--kappa", "0.5", "--b", "2", "--eps", "0.5",
                    "--max-dofs", "900", "--mode", "uniform",
-                   "--estimator", "full", "--gamma-grid", "0.5, 2",
-                   "--out", "there") == 2
+                   "--estimator", "full", "--out", "there") == 2
     assert {k: v for k, v in seen.items() if v is not None} == {
         "problem": "custom", "theta": 0.25, "kappa": 0.5, "b": 2,
         "eps": 0.5, "max_dofs": 900, "mode": "uniform", "estimator": "full",
-        "gamma_grid": (0.5, 2.0), "out": "there"}
+        "out": "there"}
 
 
 # ---------------------------------------------------------------------------
@@ -216,16 +214,16 @@ def test_every_flag_reaches_its_run_config_field(monkeypatch):
     ("run", "--theta", "1.5"),
     ("run", "--theta", "abc"),
     ("run", "--mode", "two_step"),        # needs a positive eps
-    ("run", "--gamma-grid", "a,b"),
+    ("run", "--gamma-grid", "a,b"),       # gamma is fixed: no such flag
     ("run", "--bogus-flag",),
     ("run", "--seed", "3"),               # runs have no seed
     ("verify", "no_such_suite"),
     ("run", "--eps", "nan"),
-    ("run", "--gamma-grid", "nan"),
+    ("run", "--gamma-grid", "0.5,2"),
     ("verify", "--seed", "-1"),
     ("run", "--mode", "two_step", "--eps", "0.2", "--estimator", "full"),
     ("run", "--mode", "two_step", "--eps", "0.2", "--kappa", "0.5"),
-    ("run", "--gamma", "2"),              # no abbreviation of --gamma-grid
+    ("run", "--gamma", "2"),
     ("run", "--max", "60"),               # nor of --max-dofs
 ])
 def test_bad_invocations_exit_2(argv, capsys):
@@ -245,7 +243,7 @@ def test_bad_invocations_exit_2(argv, capsys):
     "seed = 1\n",                         # runs have no seed
     "eps = nan\n",
     "eps = inf\n",
-    "gamma = nan\n",
+    "gamma = nan\n",                       # gamma is fixed: unknown keys
     "gamma_grid = 1.0, nan\n",
     "a.0 = nan\nproblem = custom\n",
     "a.0 = inf\nproblem = custom\n",
@@ -297,6 +295,16 @@ def test_non_utf8_config_file_exits_2(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("text", ["gamma = 1.0\n", "gamma_grid = 0.5, 2\n"])
+def test_gamma_keys_are_unknown(text, tmp_path, capsys):
+    # gamma = 1 and the contraction scan's grid are constants of adapt
+    cfg = tmp_path / "gamma.cfg"
+    cfg.write_text(text)
+    assert run_cli("run", "--config", str(cfg)) == 2
+    key = text.split(" =")[0]
+    assert "unknown config key '%s'" % key in capsys.readouterr().err
+
+
 def test_max_dofs_below_initial_mesh_exits_2(tmp_path, capsys):
     # the initial unit square has 5 flux dofs
     out = tmp_path / "out"
@@ -315,8 +323,6 @@ CUSTOM_TEXT = ("problem = custom\n"
                "theta = 0.5   # bulk fraction\n"
                "kappa = 1.0\n"
                "eps = 0.01\n"
-               "gamma = 1.0\n"
-               "gamma_grid = 0.1, 1.0, 10\n"
                "b = 1\n"
                "max_dofs = 300\n"
                "mode = adaptive\n"

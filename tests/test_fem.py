@@ -10,8 +10,8 @@ import pytest
 import amfem.quadrature as quad
 from amfem.adapt import solve_on
 from amfem.fem import (AssemblyError, FluxField, MixedSolution, PwConstData,
-                       SolverError, assemble, build_dofmap, project_f,
-                       rt0_interpolate, solve)
+                       SaddleSystem, SolverError, assemble, build_dofmap,
+                       project_f, solve)
 from amfem.mesh import (Mesh, ancestor_map, create_initial, dissection_order,
                         refine, uniform_refine)
 from amfem.problems import ProblemSpec, builtin, exact_errors
@@ -45,24 +45,25 @@ def edge_id(mesh, va, vb):
 
 
 def test_dof_counts_initial_and_refined():
+    # one flux dof per edge, one displacement dof per element
     m = create_initial("unit_square")
-    dm = build_dofmap(m)
-    assert dm.n_flux == 5
-    assert dm.n_disp == 2
+    assert m.n_edges == 5
+    assert m.n_elements == 2
     m1 = uniform_refine(m)
-    dm1 = build_dofmap(m1)
     # criss-cross square: 5 vertices, 4 triangles, 8 edges by Euler
-    assert dm1.n_flux == 8
-    assert dm1.n_disp == 4
+    assert m1.n_edges == 8
+    assert m1.n_elements == 4
 
 
 def test_project_f_linear_is_centroid_value():
     m = create_initial("unit_square")
     fe = project_f(lambda x, roots: np.atleast_2d(x)[:, 0], m)
-    assert np.allclose(fe, m.centroids[:, 0], atol=1e-15)
+    assert np.allclose(fe, m.vertices[m.triangles, 0].mean(axis=1),
+                       atol=1e-15)
     m2 = uniform_refine(m, 3)
     fe2 = project_f(lambda x, roots: np.atleast_2d(x)[:, 0], m2)
-    assert np.allclose(fe2, m2.centroids[:, 0], atol=1e-14)
+    assert np.allclose(fe2, m2.vertices[m2.triangles, 0].mean(axis=1),
+                       atol=1e-14)
 
 
 def test_pwconst_data_values_on_descendants():
@@ -153,7 +154,7 @@ def test_residual_contract():
     dm = build_dofmap(m)
     fe = project_f(p.f, m)
     sys = assemble(m, dm, p, fe)
-    sol = solve(sys, fe)
+    sol = solve(sys)
     x = np.concatenate([sol.p, sol.u])
     r = dense_saddle_matrix(m, p) @ x - sys.rhs
     bound = 1e-10 * (1.0 + np.abs(sys.rhs).max())
@@ -195,14 +196,32 @@ SOLVE_CASES = {
 @pytest.mark.parametrize("case", sorted(SOLVE_CASES))
 def test_solve_matches_dense_solve(case):
     p, m = SOLVE_CASES[case]()
-    fe = project_f(p.f, m)
-    sys = assemble(m, build_dofmap(m), p, fe)
-    a = solve(sys, fe)
+    sys = assemble(m, build_dofmap(m), p, project_f(p.f, m))
+    a = solve(sys)
     x = np.linalg.solve(dense_saddle_matrix(m, p), sys.rhs)
     p_ref, u_ref = x[:m.n_edges], x[m.n_edges:]
     assert np.allclose(a.p, p_ref, atol=1e-10 * (1 + np.abs(p_ref).max()))
     assert np.allclose(a.u, u_ref, atol=1e-10 * (1 + np.abs(u_ref).max()))
     assert a.balance_defect <= 1e-12
+    assert a.f_elem is sys.f_elem
+
+
+def test_solve_makes_one_refinement_round(monkeypatch):
+    # two operator applications per solve: the residual of the one
+    # refinement round and the residual the contract checks; on this graded
+    # L-shape the first residual is above round-off, so the round runs
+    calls = []
+    apply = SaddleSystem.apply
+
+    def counted(self, x):
+        calls.append(x.size)
+        return apply(self, x)
+
+    monkeypatch.setattr(SaddleSystem, "apply", counted)
+    p, m = SOLVE_CASES["varcoef_lshape_graded"]()
+    sol = solve_on(p, m)
+    assert len(calls) == 2
+    assert sol.balance_defect <= 1e-12
 
 
 def test_balance_defect_is_relative_to_the_largest_flux():
@@ -469,6 +488,16 @@ def test_flux_error_halves_per_two_levels():
 
 # ---------------------------------------------------------------------------
 # flux fields
+
+
+def rt0_interpolate(mesh, p_exact):
+    """Canonical flux interpolant: edge integrals of the exact normal flux."""
+    pts = quad.edge_points(quad.EDGE_3, mesh.vertices[mesh.edges[:, 0]],
+                           mesh.vertices[mesh.edges[:, 1]])
+    _, w = quad.EDGE_3
+    vals = np.asarray(p_exact(pts.reshape(-1, 2))).reshape(pts.shape)
+    flux = np.einsum("eqd,ed,q->e", vals, mesh.edge_normals, w)
+    return flux * mesh.edge_lengths
 
 
 def test_rt0_interpolate_reproduces_member_field():

@@ -12,6 +12,17 @@ from amfem.mesh import (INITIAL_DOMAINS, Mesh, MeshError, ancestor_map,
 from amfem.quadrature import TRI_6, tri_points
 
 
+def identities(mesh):
+    """Per-element (root element, bisection-tree node) pairs."""
+    return list(zip(mesh.root_elem.tolist(), mesh.node.tolist()))
+
+
+def patch(mesh, elem):
+    """Elements sharing an edge with ``elem``, including ``elem`` itself."""
+    ids = set(mesh.edge_tris[mesh.tri_edges[elem]].ravel().tolist()) - {-1}
+    return np.array(sorted(ids | {int(elem)}), dtype=np.int64)
+
+
 def random_descendant(root, rng, rounds, frac=0.35):
     mesh = root
     for _ in range(rounds):
@@ -112,8 +123,8 @@ def test_refined_set_contains_marked():
         rr = refine(m, marked)
         assert np.isin(marked, rr.refined).all()
         # refined elements disappeared, the rest kept their identity
-        old = m.identities()
-        new = set(rr.mesh.identities())
+        old = identities(m)
+        new = set(identities(rr.mesh))
         for t in range(m.n_elements):
             if t in set(rr.refined.tolist()):
                 assert old[t] not in new
@@ -202,10 +213,10 @@ def test_overlay_properties(domain, data):
     a = drawn_descendant(data, root)
     b = drawn_descendant(data, root)
     ab, ba = overlay(a, b), overlay(b, a)
-    assert set(ab.identities()) == set(ba.identities())
+    assert set(identities(ab)) == set(identities(ba))
     assert ab.n_elements <= a.n_elements + b.n_elements - root.n_elements
     # minimal: every overlay element is an element of one of the inputs
-    assert set(ab.identities()) <= set(a.identities()) | set(b.identities())
+    assert set(identities(ab)) <= set(identities(a)) | set(identities(b))
     Mesh(ab.vertices, ab.triangles)
     for m in (a, b):
         acc = np.zeros(m.n_elements)
@@ -253,7 +264,7 @@ def test_shape_regularity_is_stable():
 def test_patch_contains_self_and_neighbors():
     m = uniform_refine(create_initial("unit_square"))
     for t in range(m.n_elements):
-        p = m.patch(t)
+        p = patch(m, t)
         assert t in p.tolist()
         # neighbors share an edge
         for s in p:
@@ -268,8 +279,8 @@ def test_cached_geometry_is_shared_read_only_and_exact():
     fine = uniform_refine(coarse)
     for m in (coarse, fine):
         expected = {
+            "areas": np.abs(m.signed_areas()),
             "quad_points": tri_points(TRI_6, m.vertices[m.triangles]),
-            "centroids": m.vertices[m.triangles].mean(axis=1),
         }
         for name, want in expected.items():
             got = getattr(m, name)
@@ -277,7 +288,6 @@ def test_cached_geometry_is_shared_read_only_and_exact():
             assert not got.flags.writeable
             assert np.array_equal(got, want)
     assert fine.quad_points.shape == (fine.n_elements, 6, 2)
-    assert fine.centroids.shape == (fine.n_elements, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +356,7 @@ def test_edge_orientation_conventions():
     # is the element it points out of
     assert np.allclose(m.edge_normals,
                        np.column_stack([tau[:, 1], -tau[:, 0]]), atol=1e-15)
-    cent = m.centroids
+    cent = m.vertices[m.triangles].mean(axis=1)
     mid = 0.5 * (m.vertices[lo] + m.vertices[hi])
     for e in range(m.n_edges):
         t0 = m.edge_tris[e, 0]
@@ -365,9 +375,9 @@ def test_overlay_identity_and_symmetry():
     b = random_descendant(root, rng, 2)
     ov1 = overlay(a, b)
     ov2 = overlay(b, a)
-    assert sorted(ov1.identities()) == sorted(ov2.identities())
+    assert sorted(identities(ov1)) == sorted(identities(ov2))
     same = overlay(a, a)
-    assert sorted(same.identities()) == sorted(a.identities())
+    assert sorted(identities(same)) == sorted(identities(a))
 
 
 def test_overlay_union_bound_seeded():

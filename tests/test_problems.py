@@ -46,7 +46,7 @@ def interior_points(problem, rng, n, min_r=0.0):
     """Random points inside the domain, optionally away from the origin,
     and the initial element of each."""
     mesh = create_initial(problem.domain)
-    cent = mesh.centroids
+    cent = mesh.vertices[mesh.triangles].mean(axis=1)
     pts, roots = [], []
     while len(pts) < n:
         t = int(rng.integers(mesh.n_elements))

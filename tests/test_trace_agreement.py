@@ -33,9 +33,9 @@ CONFIGS = {
 RUNS = {
     "lshape_adaptive": (
         ("--problem", "lshape_singular", "--theta", "0.5"),
-        "ef426d64ef59a7e6613ca2e131ef497d765ca6d5a9c1eee18846e3711c8aa64f",
+        "ea8f581449ca5839bcfdaeac95b6097c6501d716f2569bea10e039a20461a3f8",
         "a3db1bc165c91240a81622651b528851545efd8a867cb593a9074b25ca3db9aa",
-        0.0109705000584583, 6.515197966395719),
+        0.010970500058458291, 6.515197966395719),
     "checkerboard_adaptive": (
         ("--problem", "checkerboard", "--theta", "0.5"),
         "90c40ad9b8b87612572d4d7f9690fa00c01528c2f162d610db3fc78ad76f2ae8",
@@ -54,9 +54,9 @@ RUNS = {
         0.071505703415288, 0.1577777716693824),
     "sine_full_kappa": (
         ("--problem", "square_sine", "--estimator", "full", "--kappa", "0.5"),
-        "96abd25b8cf166be26a4b06c79039f87b0080a7a4d3d656d03adef58524f2a1e",
+        "e99f0664a668e1420e289122f5080bda9d082a352ea1d14aa90a858186035dc1",
         "1bff534ef98a7752765c97dc52fb3c69ce540a79ded01320e34ffc1bb8927f7a",
-        0.06982464117718139, 183.6199444557283),
+        0.06982464117718093, 183.59266217942854),
     "square_pwconst": (
         ("--problem", "square_pwconst"),
         "e70ab4c4a93e86ac83544c71ad3133231ee479527e6d9e83d70b2528ca78b8af",
