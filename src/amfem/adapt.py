@@ -96,7 +96,6 @@ def dorfler_mark(eta2, theta):
 @dataclass
 class IterationState:
     """Everything produced at one adaptive iteration."""
-    k: int
     mesh: object
     sol: object
     report: object
@@ -158,6 +157,15 @@ def _measure(sol, problem, errors_vs):
     if prob.has_exact:
         return exact_errors(sol, prob)
     return None
+
+
+def _row(k, mesh, **values):
+    """Trace row of iteration ``k`` on ``mesh``: ``values`` fill the columns
+    they name, ``n_marked`` starts at 0 and every other column at None."""
+    row = dict.fromkeys(TRACE_COLUMNS)
+    row.update(k=k, n_elem=mesh.n_elements, n_flux_dofs=mesh.n_edges,
+               n_marked=0, **values)
+    return row
 
 
 def _refine_within(mesh, marked, b, max_dofs):
@@ -235,17 +243,12 @@ def amfem(problem, eps=0.0, theta=0.5, b=1, max_dofs=100_000, mode="adaptive",
             raise AssemblyError("estimator or oscillation total overflows")
 
         et = _measure(sol, problem, errors_vs) if errors == "auto" else None
-        row = {
-            "k": k, "n_elem": mesh.n_elements, "n_flux_dofs": mesh.n_edges,
-            "eta2": report.eta2, "osc2": osc.osc2, "osc_f2": osc.osc_f2,
-            "n_marked": 0,
-            "E2": None if et is None else et.E2,
-            "quasi_err": None if et is None else et.E2 + GAMMA * report.eta2,
-            "secs": None,
-        }
+        row = _row(k, mesh, eta2=report.eta2, osc2=osc.osc2,
+                   osc_f2=osc.osc_f2)
         if et is not None:
-            row["flux_err2"] = et.flux2
-        state = IterationState(k=k, mesh=mesh, sol=sol, report=report, osc=osc)
+            row.update(E2=et.E2, quasi_err=et.E2 + GAMMA * report.eta2,
+                       flux_err2=et.flux2)
+        state = IterationState(mesh=mesh, sol=sol, report=report, osc=osc)
 
         rr = None
         if eps > 0.0 and report.eta < eps:
@@ -302,9 +305,7 @@ def _approx_rows(f, mesh0, eps, b, max_dofs):
             osc2 = ordered_sum(osc2_elem)
         if not np.isfinite(osc2):
             raise AssemblyError("data oscillation total overflows")
-        row = {"k": k, "n_elem": mesh.n_elements, "n_flux_dofs": mesh.n_edges,
-               "eta2": None, "osc2": osc2, "osc_f2": osc2, "n_marked": 0,
-               "E2": None, "quasi_err": None, "secs": None}
+        row = _row(k, mesh, osc2=osc2, osc_f2=osc2)
         rows.append(row)
         rr = None
         if np.sqrt(osc2) > eps and mesh.n_edges < max_dofs:
@@ -340,11 +341,7 @@ def two_step(problem, eps, theta=0.5, b=1, max_dofs=100_000):
     """
     mesh0 = create_initial(problem.domain)
     mesh_h, rows1 = _approx_rows(problem.f, mesh0, 0.5 * eps, b, max_dofs)
-    if isinstance(problem.f, PwConstData):
-        f_data = problem.f
-    else:
-        f_data = PwConstData(mesh_h, project_f(problem.f, mesh_h))
-    mod = replace(problem, f=f_data)
+    mod = replace(problem, f=PwConstData(mesh_h, project_f(problem.f, mesh_h)))
     # the adaptive phase continues on the data-approximation mesh, where
     # the projected source is resolved exactly
     trace = amfem(mod, eps=0.5 * eps, theta=theta, b=b, max_dofs=max_dofs,

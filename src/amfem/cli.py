@@ -215,6 +215,15 @@ def load_config(path=None, overrides=None):
 # custom problems
 
 
+def _region(key, text, n_regions):
+    """The initial element R named by ``text`` in ``key``, range-checked."""
+    r = _as_int(key, text)
+    if not 0 <= r < n_regions:
+        raise ConfigError("key %r: region out of range [0, %d)"
+                          % (key, n_regions))
+    return r
+
+
 def _poly_table(coeffs, n_regions):
     """Gather f.* keys into {(i, j): one coefficient per region}."""
     table = {}
@@ -226,11 +235,7 @@ def _poly_table(coeffs, n_regions):
             regions = slice(None)
             i, j = parts[1], parts[2]
         elif len(parts) == 4:
-            r = _as_int(key, parts[1])
-            if not 0 <= r < n_regions:
-                raise ConfigError("key %r: region out of range [0, %d)"
-                                  % (key, n_regions))
-            regions = r
+            regions = _region(key, parts[1], n_regions)
             i, j = parts[2], parts[3]
         else:
             raise ConfigError("bad source key %r; use f.I.J or f.R.I.J" % key)
@@ -252,10 +257,7 @@ def _region_values(coeffs, n_regions):
             continue
         if len(parts) != 2:
             raise ConfigError("bad coefficient key %r; use a.R" % key)
-        r = _as_int(key, parts[1])
-        if not 0 <= r < n_regions:
-            raise ConfigError("key %r: region out of range [0, %d)"
-                              % (key, n_regions))
+        r = _region(key, parts[1], n_regions)
         if not 0.0 < c < np.inf:
             raise ConfigError("key %r: diffusion constant must be finite "
                               "and positive" % key)
@@ -396,12 +398,11 @@ def cmd_run(args):
 def cmd_verify(args):
     if args.seed < 0:
         raise ConfigError("seed must be nonnegative, got %d" % args.seed)
-    names = tuple(args.suite) or ("all",)
-    for n in names:
-        if n not in SUITE_NAMES + ("all",):
-            raise ConfigError("unknown suite %r; choose from %s"
-                              % (n, ", ".join(SUITE_NAMES + ("all",))))
-    results = run_many(names, seed=args.seed)
+    try:
+        # run_many checks every name before it runs a suite
+        results = run_many(tuple(args.suite) or ("all",), seed=args.seed)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     for r in results:
         print(r.line())
     failed = [r for r in results if not r.passed]

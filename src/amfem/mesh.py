@@ -41,7 +41,11 @@ read-only and shared by assembly, the estimator and the data oscillation.
 
 Edges carry a global orientation fixed by the lexicographic order of their
 endpoint indices: the tangent points from the lower to the higher index,
-and the normal is the tangent rotated by -90 degrees.  ``edge_slots``
+and the normal is the tangent rotated by -90 degrees.  Every element is
+counterclockwise (audited on input, kept by bisection), so local edge i
+runs from v_{i+1} to v_{i+2} with the outside on its right, and the sign
+``tri_edge_sign`` (+1 where the normal points out) follows from the vertex
+order alone: it is -1 exactly where v_{i+1} > v_{i+2}.  ``edge_slots``
 holds the element slot ``3 t + i`` (edge i of element t) on both sides of
 each edge, -1 where there is no element; side 0 sees the normal as
 outward.  ``edge_tris`` holds the elements of those slots.
@@ -89,6 +93,8 @@ def _bit_length(a):
 class Mesh:
     def __init__(self, vertices, triangles, root=None, root_elem=None,
                  node=None, validate=True):
+        """``validate=False`` skips the area and hanging-node audits and so
+        trusts the elements to be counterclockwise, as bisection keeps them."""
         self.vertices = np.ascontiguousarray(vertices, dtype=np.float64)
         self.triangles = np.ascontiguousarray(triangles, dtype=np.int64)
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 2:
@@ -120,6 +126,8 @@ class Mesh:
             raise MeshError("genealogy label out of range")
         self.generation = _bit_length(self.node) - 1
 
+        if validate and np.any(self.signed_areas() <= 0.0):
+            raise MeshError("element with non-positive area (check vertex order)")
         self._build_edges()
         if validate:
             self._audit()
@@ -156,28 +164,19 @@ class Mesh:
         self.edges = np.column_stack([uniq // nv, uniq % nv])
         self.tri_edges = inv.reshape(tri.shape[0], 3).astype(np.int64)
 
-        # orientation: tangent from low to high vertex index, normal = tangent
-        # rotated by -90 degrees
-        a = self.vertices[self.edges[:, 0]]
-        b = self.vertices[self.edges[:, 1]]
-        d = b - a
+        d = self.vertices[self.edges[:, 1]] - self.vertices[self.edges[:, 0]]
         self.edge_lengths = np.hypot(d[:, 0], d[:, 1])
         if np.any(self.edge_lengths <= 0.0):
             raise MeshError("degenerate edge of zero length")
         self.edge_tangents = d / self.edge_lengths[:, None]
-        self.edge_normals = np.column_stack(
-            [self.edge_tangents[:, 1], -self.edge_tangents[:, 0]])
 
-        # sign +1 where the global edge normal points out of the element
-        opp = self.vertices[tri]                      # (nt, 3, 2), vertex i
-        amid = a[self.tri_edges]                      # (nt, 3, 2)
-        nrm = self.edge_normals[self.tri_edges]       # (nt, 3, 2)
-        dot = np.einsum("tid,tid->ti", nrm, amid - opp)
-        self.tri_edge_sign = np.where(dot > 0.0, 1, -1).astype(np.int64)
+        # the global normal points out unless local edge i runs high to low
+        flip = pairs[:, :, 0] > pairs[:, :, 1]
+        self.tri_edge_sign = 1 - 2 * flip.astype(np.int64)
 
         # element slots 3 t + i per edge side; a third element on an edge
         # always takes a side already taken
-        side = 2 * self.tri_edges.ravel() + (self.tri_edge_sign.ravel() < 0)
+        side = (2 * self.tri_edges + flip).ravel()
         ne = self.edges.shape[0]
         claims = np.bincount(side, minlength=2 * ne)
         if np.any(claims > 1):
@@ -193,8 +192,6 @@ class Mesh:
         self.boundary_edge = claims.reshape(ne, 2).sum(axis=1) == 1
 
     def _audit(self):
-        if np.any(self.signed_areas() <= 0.0):
-            raise MeshError("element with non-positive area (check vertex order)")
         # Hanging nodes: bisection only ever inserts edge midpoints, so a
         # hanging node on edge (a, b) is the vertex at their midpoint with
         # both half-edges present.

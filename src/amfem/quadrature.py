@@ -12,11 +12,11 @@ one, so that
 
     integral_E f ~= |E| * sum_q w_q * f((1 - t_q) a + t_q b).
 
-``TRI_4PT_DEG`` etc. give the highest polynomial degree each rule integrates
-exactly.  The 6-point triangle rule (degree 4) is the workhorse for mass
-matrices, element residual norms and local L2 projections; the 7-point rule
-(degree 5) is reserved for error integrals against known solutions.  The
-5-point edge rule backs the edge L2 projections used by the oscillation
+``TRI_6_DEG``, ``EDGE_3_DEG`` etc. give the highest polynomial degree each
+rule integrates exactly.  The 6-point triangle rule (degree 4) is the
+workhorse for mass matrices, element residual norms and local L2
+projections; the 7-point rule (degree 5) is reserved for error integrals
+against known solutions.  The 5-point edge rule backs the edge L2 projections used by the oscillation
 terms, where the 3-point rule would have as many nodes as the quadratic
 basis and produce identically zero residuals.
 """

@@ -26,9 +26,6 @@ from .util import ordered_sum
 
 __all__ = ["CheckResult", "SUITE_NAMES", "run_suite", "run_many"]
 
-SUITE_NAMES = ("mesh", "dorfler", "pythagoras", "reduction",
-               "oscillation", "upper_bound")
-
 # Worst ratio seen in development was 0.46 (checkerboard); 4x margin.
 UPPER_BOUND_CAP = 2.0
 # Bisection of the built-in domains reproduces right isosceles triangles,
@@ -294,6 +291,7 @@ _SUITES = {
     "oscillation": _suite_oscillation,
     "upper_bound": _suite_upper_bound,
 }
+SUITE_NAMES = tuple(_SUITES)
 
 
 def run_suite(name, seed=0):
@@ -305,14 +303,16 @@ def run_suite(name, seed=0):
 
 
 def run_many(names, seed=0):
-    """Run several suites (or all of them) in declaration order."""
+    """Run each named suite once, "all" every suite; all names are checked,
+    and an unknown one raises ValueError, before any suite runs."""
+    choices = SUITE_NAMES + ("all",)
+    for n in names:
+        if n not in choices:
+            raise ValueError("unknown suite %r; choose from %s"
+                             % (n, ", ".join(choices)))
     if "all" in names:
         names = SUITE_NAMES
-    seen = []
-    for n in names:
-        if n not in seen:
-            seen.append(n)
     out = []
-    for n in seen:
-        out.extend(run_suite(n, seed=seed))
+    for n in dict.fromkeys(names):
+        out.extend(_SUITES[n](seed))
     return out

@@ -10,6 +10,7 @@ import pytest
 from amfem.adapt import (AdaptTrace, GAMMA_GRID, TRACE_COLUMNS, amfem,
                          approx_data, contraction_scan, data_osc_elem,
                          dorfler_mark, fit_rate, make_reference, two_step)
+from amfem.fem import PwConstData, project_f
 from amfem.mesh import create_initial, uniform_refine
 from amfem.problems import builtin, piecewise
 from amfem.util import ordered_sum
@@ -390,6 +391,19 @@ def test_two_step_run():
     # errors are still measured against the original problem
     assert trace.rows[-1]["E2"] is not None
     assert np.sqrt(trace.rows[-1]["eta2"]) < 0.25 + 1e-12
+
+
+def test_two_step_on_mesh_attached_source():
+    # f already piecewise constant on the initial mesh: the data phase
+    # stops at once and the adaptive phase runs with the same values
+    prob = builtin("square_sine")
+    mesh0 = create_initial(prob.domain)
+    pw = replace(prob, f=PwConstData(mesh0, project_f(prob.f, mesh0)))
+    trace = two_step(pw, eps=0.05, max_dofs=3000)
+    assert len(trace.rows) == 35
+    assert trace.meta["approx_rows"] == 1
+    assert trace.rows[-1]["eta2"] == 0.04136106153245866
+    assert trace.stop == "budget"
 
 
 def test_make_reference_levels():

@@ -15,11 +15,12 @@ from hypothesis import strategies as st
 
 import amfem.adapt
 import amfem.cli as cli
+import amfem.verify as verify
 from amfem.adapt import solve_on
 from amfem.cli import (ConfigError, RunConfig, load_config, main,
                        make_custom_problem)
 from amfem.fem import SolverError
-from amfem.mesh import create_initial, uniform_refine
+from amfem.mesh import Mesh, create_initial, uniform_refine
 from amfem.util import write_csv
 from amfem.verify import CheckResult
 from test_fem import const_problem
@@ -53,6 +54,17 @@ def test_run_writes_all_artifacts(tmp_path):
     assert summary["iterations"] >= 2
     header = (out / "trace.csv").read_text().splitlines()[0]
     assert header.split(",")[:3] == ["k", "n_elem", "n_flux_dofs"]
+
+
+def test_final_mesh_round_trips_via_load(tmp_path):
+    out = tmp_path / "out"
+    assert run_cli("run", "--problem", "lshape_singular",
+                   "--max-dofs", "300", "--out", str(out)) == 0
+    path = out / "final_mesh.txt"
+    mesh = Mesh.load(path, root=create_initial("lshape"))
+    assert mesh.n_edges == json.loads(
+        (out / "summary.json").read_text())["final"]["n_flux_dofs"]
+    assert mesh.dumps() == path.read_text()
 
 
 @pytest.mark.parametrize("mode_args", [
@@ -451,6 +463,18 @@ def test_verify_single_suite_ok(capsys):
     assert "0 failed" in out
     assert all(ln.startswith(("ok  ", "FAIL")) or "checks" in ln
                for ln in out.strip().splitlines())
+
+
+def test_verify_unknown_suite_runs_nothing(monkeypatch, capsys):
+    ran = []
+    monkeypatch.setitem(verify._SUITES, "dorfler",
+                        lambda seed: ran.append(seed) or [])
+    assert run_cli("verify", "dorfler", "nosuch") == 2
+    assert ran == []
+    assert capsys.readouterr().err == (
+        "amfem: error=config detail=\"unknown suite 'nosuch'; choose from "
+        "mesh, dorfler, pythagoras, reduction, oscillation, upper_bound, "
+        "all\"\n")
 
 
 def test_verify_failure_exits_4(monkeypatch, capsys):

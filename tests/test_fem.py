@@ -496,7 +496,9 @@ def rt0_interpolate(mesh, p_exact):
                            mesh.vertices[mesh.edges[:, 1]])
     _, w = quad.EDGE_3
     vals = np.asarray(p_exact(pts.reshape(-1, 2))).reshape(pts.shape)
-    flux = np.einsum("eqd,ed,q->e", vals, mesh.edge_normals, w)
+    normals = np.column_stack([mesh.edge_tangents[:, 1],
+                               -mesh.edge_tangents[:, 0]])
+    flux = np.einsum("eqd,ed,q->e", vals, normals, w)
     return flux * mesh.edge_lengths
 
 

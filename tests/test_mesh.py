@@ -186,6 +186,18 @@ def test_edge_incidence_matches_element_loop():
         assert np.array_equal(m.boundary_edge, np.any(ref < 0, axis=1))
 
 
+def test_edge_signs_match_the_geometric_rule():
+    # +1 iff the edge normal, the tangent rotated by -90 degrees, points
+    # from the opposite vertex across the edge
+    for m in pinned_meshes().values():
+        tau = m.edge_tangents[m.tri_edges]                  # (nt, 3, 2)
+        normal = np.stack([tau[..., 1], -tau[..., 0]], axis=-1)
+        start = m.vertices[m.edges[m.tri_edges, 0]]
+        dot = np.einsum("tid,tid->ti", normal, start - m.vertices[m.triangles])
+        assert np.array_equal(m.tri_edge_sign, np.where(dot > 0.0, 1, -1))
+        assert m.tri_edge_sign.dtype == np.int64
+
+
 @settings(max_examples=15, deadline=None)
 @given(domain=st.sampled_from(sorted(INITIAL_DOMAINS)), data=st.data())
 def test_refine_genealogy_properties(domain, data):
@@ -354,14 +366,15 @@ def test_edge_orientation_conventions():
     assert np.allclose(m.edge_tangents, tau, atol=1e-15)
     # normal is the tangent rotated clockwise, and slot 0 of edge_tris
     # is the element it points out of
-    assert np.allclose(m.edge_normals,
+    normals = np.column_stack([m.edge_tangents[:, 1], -m.edge_tangents[:, 0]])
+    assert np.allclose(normals,
                        np.column_stack([tau[:, 1], -tau[:, 0]]), atol=1e-15)
     cent = m.vertices[m.triangles].mean(axis=1)
     mid = 0.5 * (m.vertices[lo] + m.vertices[hi])
     for e in range(m.n_edges):
         t0 = m.edge_tris[e, 0]
         if t0 >= 0:
-            assert np.dot(m.edge_normals[e], mid[e] - cent[t0]) > 0.0
+            assert np.dot(normals[e], mid[e] - cent[t0]) > 0.0
 
 
 # ---------------------------------------------------------------------------

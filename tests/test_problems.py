@@ -207,8 +207,10 @@ def boundary_flux(problem, mesh):
     pv = problem.exact_p(epts.reshape(-1, 2)).reshape(len(be), len(nodes), 2)
     sign = np.where(mesh.edge_tris[be, 0] >= 0, 1.0, -1.0)
     lens = np.linalg.norm(b - a, axis=1)
-    return float(np.sum(np.einsum("eqd,ed,q->e", pv, mesh.edge_normals[be],
-                                  wts) * lens * sign))
+    tau = mesh.edge_tangents[be]
+    normals = np.column_stack([tau[:, 1], -tau[:, 0]])
+    return float(np.sum(np.einsum("eqd,ed,q->e", pv, normals, wts)
+                        * lens * sign))
 
 
 def test_divergence_theorem_square_sine():

@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from amfem.quadrature import (EDGE_3, EDGE_5, TRI_6, TRI_6_DEG, TRI_7,
-                              TRI_7_DEG, edge_points, tri_points)
+from amfem.quadrature import (EDGE_3, EDGE_3_DEG, EDGE_5, EDGE_5_DEG, TRI_6,
+                              TRI_6_DEG, TRI_7, TRI_7_DEG, edge_points,
+                              tri_points)
 
 REF_TRI = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
@@ -57,11 +58,15 @@ def test_triangle_rules_agree_on_shared_degrees():
 @pytest.mark.parametrize("rule,npts", [(EDGE_3, 3), (EDGE_5, 5)])
 def test_edge_monomial_exactness(rule, npts):
     # n-point Gauss is exact through degree 2n-1 on [0, 1]
+    deg = {3: EDGE_3_DEG, 5: EDGE_5_DEG}[npts]
     t, w = rule
     assert t.shape == (npts,)
-    for k in range(2 * npts):
+    assert deg == 2 * npts - 1
+    for k in range(deg + 1):
         got = float(np.dot(t ** k, w))
         assert got == pytest.approx(1.0 / (k + 1), abs=1e-14)
+    assert float(np.dot(t ** (deg + 1), w)) != \
+        pytest.approx(1.0 / (deg + 2), abs=1e-14)
 
 
 def test_edge_points_parametrization():
