@@ -63,7 +63,6 @@ class MarkSet:
     ranked: np.ndarray
     marked_sum: float
     total_sum: float
-    all_zero: bool = False
 
 
 class DataApproxError(RuntimeError):
@@ -84,7 +83,7 @@ def dorfler_mark(eta2, theta):
     if total <= 0.0:
         return MarkSet(ids=np.empty(0, dtype=np.int64),
                        ranked=np.empty(0, dtype=np.int64),
-                       marked_sum=0.0, total_sum=0.0, all_zero=True)
+                       marked_sum=0.0, total_sum=0.0)
     thr = theta * theta * total
     k = int(np.searchsorted(csum, thr, side="left")) + 1
     k = min(k, n)
@@ -152,13 +151,6 @@ def solve_on(problem, mesh):
                           project_f(problem.f, mesh)))
 
 
-def _measure(sol, problem, errors_vs):
-    prob = errors_vs if errors_vs is not None else problem
-    if prob.has_exact:
-        return exact_errors(sol, prob)
-    return None
-
-
 def _row(k, mesh, **values):
     """Trace row of iteration ``k`` on ``mesh``: ``values`` fill the columns
     they name, ``n_marked`` starts at 0 and every other column at None."""
@@ -220,6 +212,7 @@ def amfem(problem, eps=0.0, theta=0.5, b=1, max_dofs=100_000, mode="adaptive",
         raise ValueError(f"max_dofs {max_dofs} is below the {mesh.n_edges} "
                          f"flux dofs of the initial mesh")
     keep_states = keep or errors == "reference"
+    measured = errors_vs if errors_vs is not None else problem
 
     meta = {
         "problem": problem.name, "domain": problem.domain, "mode": mode,
@@ -242,7 +235,8 @@ def amfem(problem, eps=0.0, theta=0.5, b=1, max_dofs=100_000, mode="adaptive",
         if not np.isfinite(report.eta2 + osc.osc2):
             raise AssemblyError("estimator or oscillation total overflows")
 
-        et = _measure(sol, problem, errors_vs) if errors == "auto" else None
+        et = exact_errors(sol, measured) \
+            if errors == "auto" and measured.has_exact else None
         row = _row(k, mesh, eta2=report.eta2, osc2=osc.osc2,
                    osc_f2=osc.osc_f2)
         if et is not None:
@@ -276,17 +270,16 @@ def amfem(problem, eps=0.0, theta=0.5, b=1, max_dofs=100_000, mode="adaptive",
             break
 
     if errors == "reference":
-        _backfill_reference(trace, problem, errors_vs)
+        _backfill_reference(trace, problem, measured)
     if not keep:
         trace.states = [state]
     return trace
 
 
-def _backfill_reference(trace, problem, errors_vs):
+def _backfill_reference(trace, problem, measured):
     ref_sol = make_reference(problem, trace.states[-1].mesh)
-    prob = errors_vs if errors_vs is not None else problem
     for row, st in zip(trace.rows, trace.states):
-        et = exact_errors(st.sol, prob, reference=ref_sol)
+        et = exact_errors(st.sol, measured, reference=ref_sol)
         row["E2"] = et.E2
         row["quasi_err"] = et.E2 + GAMMA * row["eta2"]
         row["flux_err2"] = et.flux2
@@ -296,6 +289,8 @@ def _backfill_reference(trace, problem, errors_vs):
 
 
 def _approx_rows(f, mesh0, eps, b, max_dofs):
+    if isinstance(f, PwConstData):
+        f.values_on(mesh0)      # MeshError unless mesh0 refines the carrier
     mesh = mesh0
     rows = []
     for k in range(MAX_ITER + 1):

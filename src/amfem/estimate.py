@@ -50,8 +50,10 @@ oscillation never exceeds the matching estimator term); edges use a
 5-point rule because a 3-point rule would interpolate the quadratic basis
 exactly and return identically zero residuals.
 
-Every term samples the flux the same way: ``_element_samples`` gives A^-1 q
-and curl(A^-1 q) at the mesh's cached 6-point rule points
+The flux q is one :class:`~amfem.fem.FluxField` on the estimator's mesh; a
+solution of :func:`amfem.fem.solve` is one, as is a restriction to a
+refinement.  Every term samples it the same way: ``_element_samples`` gives
+A^-1 q and curl(A^-1 q) at the mesh's cached 6-point rule points
 ``mesh.quad_points``, ``_edge_jumps`` the tangential jumps at edge points,
 and ``_element_term`` / ``_edge_term`` turn samples into the weighted
 per-element squares above.
@@ -67,8 +69,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .fem import (FluxField, MixedSolution, PwConstData, coef_at,
-                  eval_f_on_elements, root_a_inv)
+from .fem import PwConstData, coef_at, eval_f_on_elements, root_a_inv
 from .mesh import MeshError
 from .quadrature import TRI_6, EDGE_3, EDGE_5, edge_points
 from .util import ordered_sum
@@ -86,8 +87,8 @@ class IndicatorReport:
     curl2: np.ndarray
     jump2: np.ndarray
     disp2: np.ndarray = None      # full estimator only
-    eta2_elem: np.ndarray = dc_field(default=None)
-    eta2: float = dc_field(default=None)
+    eta2_elem: np.ndarray = dc_field(init=False)
+    eta2: float = dc_field(init=False)
 
     def __post_init__(self):
         total = self.data2 + self.curl2 + self.jump2
@@ -113,8 +114,8 @@ class OscReport:
     jump_osc2: np.ndarray
     data_osc2: np.ndarray
     disp_osc2: np.ndarray
-    osc2: float = dc_field(default=None)        # curl + jump + data
-    osc_f2: float = dc_field(default=None)      # data only: osc(f, T)^2
+    osc2: float = dc_field(init=False)          # curl + jump + data
+    osc_f2: float = dc_field(init=False)        # data only: osc(f, T)^2
 
     def __post_init__(self):
         object.__setattr__(self, "osc2", ordered_sum(
@@ -122,16 +123,9 @@ class OscReport:
         object.__setattr__(self, "osc_f2", ordered_sum(self.data_osc2))
 
 
-def _as_field(mesh, sol_or_field):
-    if isinstance(sol_or_field, MixedSolution):
-        f = sol_or_field.field
-    elif isinstance(sol_or_field, FluxField):
-        f = sol_or_field
-    else:
-        raise TypeError("expected a MixedSolution or FluxField")
-    if f.mesh is not mesh:
+def _check_mesh(mesh, field):
+    if field.mesh is not mesh:
         raise MeshError("field lives on a different mesh than the indicators")
-    return f
 
 
 def _projection_residual(basis, w):
@@ -219,7 +213,8 @@ def _edge_term(mesh, jumps, rule):
 def data_osc_elem(f, mesh):
     """Per-element squared data oscillation h_T^2 ||f - f_h||_T^2.
 
-    Exactly zero for mesh-attached constant data.  The cellwise mean f_h
+    Exactly zero for mesh-attached constant data, which requires ``mesh`` to
+    refine the data's carrier (not checked here).  The cellwise mean f_h
     comes from the same 6-point samples, as in ``fem.project_f``.
     """
     if isinstance(f, PwConstData):
@@ -229,19 +224,19 @@ def data_osc_elem(f, mesh):
     return ((fv - f_h[:, None]) ** 2 @ TRI_6[1]) * mesh.areas ** 2
 
 
-def indicators_stress(mesh, sol_or_field, problem):
+def indicators_stress(mesh, field, problem):
     """Stress estimator, the default input of the marking step."""
-    fld = _as_field(mesh, sol_or_field)
-    jumps = _edge_jumps(mesh, fld, problem, EDGE_3)
+    _check_mesh(mesh, field)
+    jumps = _edge_jumps(mesh, field, problem, EDGE_3)
     return IndicatorReport(
         mesh=mesh,
         data2=data_osc_elem(problem.f, mesh),
         curl2=(np.zeros(mesh.n_elements) if problem.a is not None else
-               _element_term(mesh, _element_samples(mesh, fld, problem)[1])),
+               _element_term(mesh, _element_samples(mesh, field, problem)[1])),
         jump2=_edge_term(mesh, jumps, EDGE_3))
 
 
-def indicators_full(mesh, sol, problem, kappa=1.0):
+def indicators_full(mesh, field, problem, kappa=1.0):
     """Full estimator with data exponent kappa in [0, 1].
 
     The data residual is ``f + div q`` (not the projected difference), the
@@ -250,11 +245,11 @@ def indicators_full(mesh, sol, problem, kappa=1.0):
     """
     if not 0.0 <= kappa <= 1.0:
         raise ValueError("kappa must lie in [0, 1]")
-    fld = _as_field(mesh, sol)
-    aq, curl = _element_samples(mesh, fld, problem)
+    _check_mesh(mesh, field)
+    aq, curl = _element_samples(mesh, field, problem)
     resid = eval_f_on_elements(problem.f, mesh, mesh.quad_points) \
-        + fld.div[:, None]
-    jumps = _edge_jumps(mesh, fld, problem, EDGE_3)
+        + field.div[:, None]
+    jumps = _edge_jumps(mesh, field, problem, EDGE_3)
     return IndicatorReport(
         mesh=mesh,
         data2=((resid ** 2) @ TRI_6[1]) * mesh.areas ** kappa * mesh.areas,
@@ -263,22 +258,22 @@ def indicators_full(mesh, sol, problem, kappa=1.0):
         disp2=_element_term(mesh, aq))
 
 
-def oscillations(mesh, sol_or_field, problem):
+def oscillations(mesh, field, problem):
     """Oscillation terms of the stress estimator, elementwise.
 
     ``osc2`` collects curl, jump and data parts; ``osc_f2`` is the pure
     data oscillation ||h (f - f_h)||^2; ``disp_osc2`` holds the
     displacement residual part per element.
     """
-    fld = _as_field(mesh, sol_or_field)
+    _check_mesh(mesh, field)
     curl_osc2 = disp_osc2 = np.zeros(mesh.n_elements)
     if problem.a is None:
-        aq, curl = _element_samples(mesh, fld, problem)
+        aq, curl = _element_samples(mesh, field, problem)
         curl_osc2 = _element_term(mesh, _p1_residual(curl))
         disp_osc2 = _element_term(mesh, _p1_residual(aq))
     else:   # A^-1 q is affine: only -g_tan leaves a jump residual
-        fld = None
-    jumps = _edge_jumps(mesh, fld, problem, EDGE_5) @ _P2_EDGE_RESIDUAL.T
+        field = None
+    jumps = _edge_jumps(mesh, field, problem, EDGE_5) @ _P2_EDGE_RESIDUAL.T
     return OscReport(
         curl_osc2=curl_osc2,
         jump_osc2=_edge_term(mesh, jumps, EDGE_5),

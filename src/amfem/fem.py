@@ -27,7 +27,9 @@ are numbered in the nested-dissection order that
 :func:`amfem.mesh.dissection_order` reads off the bisection genealogy
 (George 1973), and SuperLU factorizes the system in that order.  The local
 matrices and the edge signs are all that is kept of M and B: the
-residual of the refinement round applies them element by element.
+residual of the refinement round applies them element by element.  The
+solution is itself the RT0 flux field (elementwise affine) that the
+estimator reads.
 """
 
 import numpy as np
@@ -151,8 +153,9 @@ class FluxField:
         self.alpha = np.asarray(alpha, dtype=np.float64)
         self.beta = np.asarray(beta, dtype=np.float64)
 
-    @classmethod
-    def from_coeffs(cls, mesh, coeffs):
+    @staticmethod
+    def from_coeffs(mesh, coeffs):
+        """The RT0 function with edge coefficients ``coeffs``."""
         coeffs = np.asarray(coeffs, dtype=np.float64)
         s = mesh.tri_edge_sign.astype(np.float64)
         c = coeffs[mesh.tri_edges] * s            # (nt, 3)
@@ -160,7 +163,7 @@ class FluxField:
         beta = c.sum(axis=1) * inv2a
         P = mesh.vertices[mesh.triangles]         # (nt, 3, 2)
         alpha = -np.einsum("ti,tid->td", c, P) * inv2a[:, None]
-        return cls(mesh, alpha, beta)
+        return FluxField(mesh, alpha, beta)
 
     def eval(self, elems, pts):
         """Values at ``pts`` of shape (k, q, 2) lying inside elements ``elems``."""
@@ -182,23 +185,23 @@ class FluxField:
 class SaddleSystem:
     """The saddle-point system of one mesh, held element by element.
 
-    ``loc`` holds the local mass matrices (nt, 3, 3) in the outward basis
-    (x - P_i) / (2|T|) of each element; with the edge signs they are the
-    whole operator.  ``rhs`` stacks the flux and divergence right-hand sides,
-    the latter built from the cellwise source means ``f_elem``.
+    ``loc`` holds the local mass matrices (nt, 3, 3) of ``mesh`` in the
+    outward basis (x - P_i) / (2|T|); with the edge signs they are the
+    whole operator.  ``rhs`` stacks the flux and divergence right-hand
+    sides, the latter built from the cellwise source means ``f_elem``.
     """
 
-    def __init__(self, loc, rhs, dofmap, f_elem):
+    def __init__(self, loc, rhs, mesh, f_elem):
         self.loc = loc
         self.rhs = rhs
-        self.dofmap = dofmap
+        self.mesh = mesh
         self.f_elem = f_elem
 
     def apply(self, x):
         """``[[M, B^T], [B, 0]] @ x`` for ``x = (p, u)``: element T with
         outward fluxes ``q = s p[tri_edges]`` adds ``s (loc q + u_T)`` to
         its edge rows, and ``sum(q)`` is its divergence row."""
-        mesh = self.dofmap.mesh
+        mesh = self.mesh
         s, ne, edges = mesh.tri_edge_sign, mesh.n_edges, mesh.tri_edges
         q = s * x[:ne][edges]
         flux = s * (np.einsum("tij,tj->ti", self.loc, q) + x[ne:, None])
@@ -262,11 +265,12 @@ def assemble(mesh, dofmap, problem, f_elem):
             rhs[bed] = sign * (gv @ ew)
 
     rhs[ne:] = -mesh.areas * f_elem
-    return SaddleSystem(loc, rhs, dofmap, f_elem)
+    return SaddleSystem(loc, rhs, mesh, f_elem)
 
 
-class MixedSolution:
-    """Solution pair of one mixed solve.
+class MixedSolution(FluxField):
+    """Solution pair of one mixed solve, and its own RT0 flux field:
+    ``alpha`` and ``beta`` are those of :meth:`FluxField.from_coeffs` of p.
 
     Attributes
     ----------
@@ -280,22 +284,12 @@ class MixedSolution:
     """
 
     def __init__(self, mesh, p, u, f_elem, residual_inf):
-        self.mesh = mesh
+        field = FluxField.from_coeffs(mesh, p)
+        super().__init__(mesh, field.alpha, field.beta)
         self.p = p
         self.u = u
         self.f_elem = f_elem
         self.residual_inf = residual_inf
-        self._field = None
-
-    @property
-    def field(self):
-        if self._field is None:
-            self._field = FluxField.from_coeffs(self.mesh, self.p)
-        return self._field
-
-    @property
-    def div(self):
-        return self.field.div
 
     @property
     def div_defect(self):
@@ -343,7 +337,7 @@ def solve(system):
     The residual contract ``||K x - rhs||_inf <= 1e-10 (1 + ||rhs||_inf)``
     is enforced; a violation raises :class:`SolverError`.
     """
-    mesh = system.dofmap.mesh
+    mesh = system.mesh
     nt, ne = mesh.n_elements, mesh.n_edges
     # overflow near the ends of the float range fails the residual contract
     with np.errstate(over="ignore", invalid="ignore"):

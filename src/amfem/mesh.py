@@ -93,8 +93,9 @@ def _bit_length(a):
 class Mesh:
     def __init__(self, vertices, triangles, root=None, root_elem=None,
                  node=None, validate=True):
-        """``validate=False`` skips the area and hanging-node audits and so
-        trusts the elements to be counterclockwise, as bisection keeps them."""
+        """``validate=False`` skips the finite-coordinate, area and
+        hanging-node audits and so trusts the elements to be finite and
+        counterclockwise, as bisection keeps them."""
         self.vertices = np.ascontiguousarray(vertices, dtype=np.float64)
         self.triangles = np.ascontiguousarray(triangles, dtype=np.int64)
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 2:
@@ -126,6 +127,8 @@ class Mesh:
             raise MeshError("genealogy label out of range")
         self.generation = _bit_length(self.node) - 1
 
+        if validate and not np.isfinite(self.vertices).all():
+            raise MeshError("vertex coordinates must be finite")
         if validate and np.any(self.signed_areas() <= 0.0):
             raise MeshError("element with non-positive area (check vertex order)")
         self._build_edges()

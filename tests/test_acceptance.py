@@ -108,10 +108,10 @@ def test_divergence_exactness_on_every_solve(all_traces, pythagoras_triple):
 
 def test_discrete_pythagoras_with_resolved_data(pythagoras_triple):
     problem, ref, (s_coarse, s_mid, s_ref) = pythagoras_triple
-    pc = s_coarse.field.restrict_to(ref)
-    pm = s_mid.field.restrict_to(ref)
-    lhs = flux_dist2(problem, ref, s_ref.field, pc)
-    rhs = (flux_dist2(problem, ref, s_ref.field, pm)
+    pc = s_coarse.restrict_to(ref)
+    pm = s_mid.restrict_to(ref)
+    lhs = flux_dist2(problem, ref, s_ref, pc)
+    rhs = (flux_dist2(problem, ref, s_ref, pm)
            + flux_dist2(problem, ref, pm, pc))
     assert lhs > 0.0
     assert abs(lhs - rhs) / lhs <= 1e-8
@@ -135,7 +135,7 @@ def test_fixed_field_estimator_reduction_each_step(sine_adaptive,
         for a, b in zip(trace.states[:-1], trace.states[1:]):
             if a.markset is None:
                 continue
-            frozen = a.sol.field.restrict_to(b.mesh)
+            frozen = a.sol.restrict_to(b.mesh)
             fine = indicators_stress(b.mesh, frozen, problem)
             rhs = a.report.eta2 - lam * a.report.subset_sum(a.markset.ids)
             assert fine.eta2 <= rhs + 1e-10

@@ -11,7 +11,7 @@ from amfem.adapt import (AdaptTrace, GAMMA_GRID, TRACE_COLUMNS, amfem,
                          approx_data, contraction_scan, data_osc_elem,
                          dorfler_mark, fit_rate, make_reference, two_step)
 from amfem.fem import PwConstData, project_f
-from amfem.mesh import create_initial, uniform_refine
+from amfem.mesh import MeshError, create_initial, uniform_refine
 from amfem.problems import builtin, piecewise
 from amfem.util import ordered_sum
 
@@ -25,7 +25,7 @@ def test_dorfler_hand_cases():
     assert ms.ids.tolist() == [0]
     assert ms.marked_sum == 4.0
     assert ms.total_sum == 10.0
-    assert not ms.all_zero
+    assert ms.ids.size
 
     ms = dorfler_mark([4.0, 3.0, 2.0, 1.0], 0.8)
     assert ms.ids.tolist() == [0, 1]
@@ -46,7 +46,6 @@ def test_dorfler_tie_break_lowest_id():
 def test_dorfler_all_zero_report():
     for eta2 in ([0.0, 0.0], []):
         ms = dorfler_mark(eta2, 0.7)
-        assert ms.all_zero
         assert ms.ids.size == 0
         assert ms.marked_sum == 0.0
 
@@ -404,6 +403,19 @@ def test_two_step_on_mesh_attached_source():
     assert trace.meta["approx_rows"] == 1
     assert trace.rows[-1]["eta2"] == 0.04136106153245866
     assert trace.stop == "budget"
+
+
+def test_data_finer_than_the_initial_mesh_is_refused():
+    # mesh-attached data whose carrier refines the initial mesh has no
+    # oscillation to mark there, so it must not pass as resolved
+    prob = builtin("square_sine")
+    m0 = create_initial(prob.domain)
+    data = PwConstData(uniform_refine(m0, 3),
+                       project_f(prob.f, uniform_refine(m0, 3)))
+    with pytest.raises(MeshError, match="not a refinement"):
+        approx_data(data, m0, 1e-6)
+    with pytest.raises(MeshError, match="not a refinement"):
+        two_step(replace(prob, f=data), eps=1e-3, max_dofs=2000)
 
 
 def test_make_reference_levels():

@@ -9,7 +9,7 @@ from amfem.estimate import (_edge_jumps, indicators_full, indicators_stress,
                             oscillations)
 from amfem.adapt import solve_on
 from amfem.fem import FluxField
-from amfem.mesh import create_initial, refine, uniform_refine
+from amfem.mesh import MeshError, create_initial, refine, uniform_refine
 from amfem.problems import ProblemSpec, builtin
 
 
@@ -95,7 +95,7 @@ def test_curl_term_matches_independent_quadrature():
 
     pts = quad.tri_points(quad.TRI_7, mesh.vertices[mesh.triangles])
     el = np.arange(mesh.n_elements)
-    vals = sol.field.eval(el, pts)
+    vals = sol.eval(el, pts)
     cai = prob.curl_A_inv(pts.reshape(-1, 2), np.repeat(
         mesh.root_elem, pts.shape[1])).reshape(pts.shape)
     cv = np.einsum("tqd,tqd->tq", cai, vals)
@@ -118,7 +118,7 @@ def test_element_oscillations_match_least_squares_fits():
 
     pts = quad.tri_points(quad.TRI_6, mesh.vertices[mesh.triangles])
     w = quad.TRI_6[1]
-    q = sol.field.eval(np.arange(mesh.n_elements), pts)
+    q = sol.eval(np.arange(mesh.n_elements), pts)
     cai = prob.curl_A_inv(pts.reshape(-1, 2), np.repeat(
         mesh.root_elem, pts.shape[1])).reshape(pts.shape)
     curl = np.einsum("tqd,tqd->tq", cai, q)
@@ -250,7 +250,7 @@ def test_fixed_field_estimator_monotone_under_refinement():
     sol = solve_on(prob, coarse)
     fine = uniform_refine(coarse)
     rep_c = indicators_stress(coarse, sol, prob)
-    rep_f = indicators_stress(fine, sol.field.restrict_to(fine), prob)
+    rep_f = indicators_stress(fine, sol.restrict_to(fine), prob)
     assert rep_f.eta2 <= rep_c.eta2
 
 
@@ -275,5 +275,15 @@ def test_field_and_solution_reports_agree():
     mesh = uniform_refine(create_initial("checkerboard"))
     sol = solve_on(prob, mesh)
     r1 = indicators_stress(mesh, sol, prob)
-    r2 = indicators_stress(mesh, sol.field, prob)
+    r2 = indicators_stress(mesh, sol, prob)
     assert np.array_equal(r1.eta2_elem, r2.eta2_elem)
+
+
+@pytest.mark.parametrize("estimator", [indicators_stress, indicators_full,
+                                       oscillations])
+def test_estimators_refuse_a_field_on_another_mesh(estimator):
+    prob = builtin("square_sine")
+    mesh = uniform_refine(create_initial(prob.domain))
+    sol = solve_on(prob, mesh)
+    with pytest.raises(MeshError, match="different mesh"):
+        estimator(uniform_refine(mesh), sol, prob)

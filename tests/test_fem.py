@@ -206,6 +206,16 @@ def test_solve_matches_dense_solve(case):
     assert a.f_elem is sys.f_elem
 
 
+@pytest.mark.parametrize("case", sorted(SOLVE_CASES))
+def test_solution_is_its_own_flux_field(case):
+    p, m = SOLVE_CASES[case]()
+    sol = solve_on(p, m)
+    ref = FluxField.from_coeffs(m, sol.p)
+    assert isinstance(sol, FluxField)
+    for name in ("alpha", "beta", "div"):
+        assert np.array_equal(getattr(sol, name), getattr(ref, name))
+
+
 def test_solve_makes_one_refinement_round(monkeypatch):
     # two operator applications per solve: the residual of the one
     # refinement round and the residual the contract checks; on this graded
@@ -523,12 +533,12 @@ def test_flux_field_restriction_preserves_values():
     coarse = uniform_refine(create_initial("unit_square"), 2)
     sol = solve_on(p, coarse)
     fine = uniform_refine(coarse, 2)
-    rest = sol.field.restrict_to(fine)
+    rest = sol.restrict_to(fine)
     pts = quad.tri_points(quad.TRI_6, fine.vertices[fine.triangles])
     el = np.arange(fine.n_elements)
     got = rest.eval(el, pts)
     # evaluate the coarse field at the same physical points
     from amfem.mesh import ancestor_map
     amap = ancestor_map(fine, coarse)
-    want = sol.field.eval(amap, pts)
+    want = sol.eval(amap, pts)
     assert np.allclose(got, want, atol=1e-13)

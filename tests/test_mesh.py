@@ -490,7 +490,11 @@ SQUARE_TEXT = refine(SQUARE, [0]).mesh.dumps()
     ("r0p0 1\n", "r0p12 2\n"),                 # path digit other than 0/1
     ("r1p0 1\n", "r1p0 7\n"),                  # generation != path length
     ("r1p0 1\n", "r99p0 1\n"),                 # root element out of range
-], ids=["truncated", "count", "digit", "generation", "root"])
+    ("\n1.0 1.0\n", "\nnan 1.0\n"),            # non-finite coordinates
+    ("\n1.0 1.0\n", "\n1.0 inf\n"),
+    ("\n1.0 1.0\n", "\n1e1000 1.0\n"),         # overflows to inf
+], ids=["truncated", "count", "digit", "generation", "root", "nan", "inf",
+        "overflow"])
 def test_loads_rejects_malformed_text(old, new):
     assert old in SQUARE_TEXT
     with pytest.raises(MeshError):

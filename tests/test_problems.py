@@ -9,10 +9,11 @@ import amfem.quadrature as quad
 from amfem.adapt import data_osc_elem, make_reference, solve_on
 from amfem.estimate import (_P2_EDGE_RESIDUAL, _edge_jumps, _edge_term,
                             indicators_full, indicators_stress, oscillations)
-from amfem.fem import PwConstData, assemble, build_dofmap, project_f
+from amfem.fem import (AssemblyError, PwConstData, assemble, build_dofmap,
+                       project_f)
 from amfem.mesh import Mesh, create_initial, refine, uniform_refine
 from amfem.problems import (BUILTIN_PROBLEMS, ProblemSpec, builtin,
-                            exact_errors, flux_dist2)
+                            exact_errors, flux_dist2, piecewise)
 from amfem.util import ordered_sum
 
 
@@ -84,6 +85,16 @@ def test_coefficient_inverse_pair(name):
     assert np.all(np.linalg.eigvalsh(A) > 0.0)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("a0", [1e-309, 0.0])
+def test_unusable_scalar_a_reports_its_root_without_a_warning(a0):
+    # 1/a overflows or divides by zero when the problem is built; the typed
+    # error names the root when the problem is solved
+    prob = piecewise("x", "unit_square", [a0, 1.0], {(0, 0): [1.0, 1.0]})
+    with pytest.raises(AssemblyError, match="on root element 0:"):
+        solve_on(prob, create_initial("unit_square"))
+
+
 def test_has_exact_flags():
     assert builtin("square_sine").has_exact
     assert builtin("lshape_singular").has_exact
@@ -151,7 +162,7 @@ def test_scalar_coefficients_equal_the_sampled_path(name):
 
     # A^-1 q_h is affine on each element, so the sampled path's curl,
     # displacement and interior jump oscillations are round-off
-    jumps = _edge_jumps(mesh, sol.field, general, quad.EDGE_5) \
+    jumps = _edge_jumps(mesh, sol, general, quad.EDGE_5) \
         @ _P2_EDGE_RESIDUAL.T
     jumps[mesh.boundary_edge] = 0.0
     inner_jump_osc2 = _edge_term(mesh, jumps, quad.EDGE_5)
@@ -345,7 +356,7 @@ def test_stability_of_data_projection():
         sol_f = solve_on(prob, fine)
         fH = PwConstData(coarse, project_f(prob.f, coarse))
         sol_H = solve_on(replace(prob, f=fH), fine)
-        dist = np.sqrt(flux_dist2(prob, fine, sol_f.field, sol_H.field))
+        dist = np.sqrt(flux_dist2(prob, fine, sol_f, sol_H))
         osc = np.sqrt(ordered_sum(data_osc_elem(prob.f, coarse)))
         assert dist <= 1.0 * osc
 
