@@ -339,11 +339,10 @@ def dump_indicators_csv(report, osc, path):
     """Per-element CSV: indicator terms, oscillation terms and h_T."""
     mesh = report.mesh
     cols = {"element": np.arange(mesh.n_elements), "data2": report.data2,
-            "curl2": report.curl2, "jump2": report.jump2}
+            "jump2": report.jump2}
     if report.disp2 is not None:
         cols["disp2"] = report.disp2
-    cols.update(curl_osc2=osc.curl_osc2, jump_osc2=osc.jump_osc2,
-                data_osc2=osc.data_osc2, disp_osc2=osc.disp_osc2,
+    cols.update(jump_osc2=osc.jump_osc2, data_osc2=osc.data_osc2,
                 h=np.sqrt(mesh.areas))
     write_csv(path, cols)
 

@@ -9,28 +9,25 @@ not the diameter.  On bisection meshes this weight drops by exactly
 refined elements hold with the factor 2^(-b/2) without shape-regularity
 slack.
 
+The coefficient is A = a_T I with a_T constant on each initial element
+(``problem.a``), and 1/a_T is read once per element.  A flux q in RT0 is
+affine on each element with gradient beta * I, so curl(A^-1 q) vanishes
+there and A^-1 q is affine on elements and edges: the estimators carry
+no curl term.
+
 Stress estimator (drives the adaptive loop)::
 
     eta2(q, T) = h_T^2 ||f - f_h||_T^2
-               + h_T^2 ||curl(A^-1 q)||_T^2
                + h_T   ||J(A^-1 q . tau)||_{dT}^2
 
 Full estimator (exposes the displacement residual, exponent kappa on the
 data term)::
 
     eta2_kappa(q, u_h, T) = ||h^kappa (f + div q)||_T^2
-                          + h_T^2 ||curl(A^-1 q)||_T^2
                           + h_T ||J(A^-1 q . tau)||_{dT}^2
                           + ||h (A^-1 q - grad_h u_h)||_T^2
 
-with grad_h u_h = 0 for elementwise-constant displacements.  The curl of
-the matrix-vector product splits as
-
-    curl(A^-1 q) = (Curl A^-1) . q + A^-1 : curl~ q,
-
-where Curl A^-1 holds the scalar curls of the columns of A^-1 and, for an
-elementwise-affine q with gradient beta * I, the contraction reduces to
-beta (A^-1_21 - A^-1_12); it vanishes for symmetric A.
+with grad_h u_h = 0 for elementwise-constant displacements.
 
 Jumps are taken along the stored edge orientation; each interior edge
 contributes its full jump integral to both incident elements.  On boundary
@@ -39,37 +36,27 @@ derivative of the Dirichlet datum (zero for g = 0, recovering the plain
 one-sided trace).
 
 Oscillations replace integrands by their residuals under local L2-best
-approximation: degree 1 on elements, degree 2 on edges.  Both projections
-commute with the affine map of an element or edge, and a quadrature rule
-has the same reference nodes and weights everywhere, so each projection
-residual is one constant matrix ``I - V (V^T W V)^-1 V^T W`` applied to
-the samples: V holds the barycentric coordinates of the 6-point rule on
-elements and the monomials 1, t, t^2 at the nodes of the 5-point rule on
-edges.  Element terms use the same 6-point rule as the estimator (so
-oscillation never exceeds the matching estimator term); edges use a
-5-point rule because a 3-point rule would interpolate the quadratic basis
-exactly and return identically zero residuals.
+approximation.  Only two terms leave one: the data term, whose integrand
+f - f_h already is the residual of the cellwise mean, and the boundary
+jumps, where -g_tan is projected onto quadratics along each edge.  That
+projection commutes with the affine map of an edge, and a quadrature rule
+has the same reference nodes and weights on every edge, so its residual
+is one constant matrix ``I - V (V^T W V)^-1 V^T W`` applied to the
+samples, V holding the monomials 1, t, t^2 at the nodes of the 5-point
+rule; a 3-point rule would interpolate them exactly and return
+identically zero residuals.
 
 The flux q is one :class:`~amfem.fem.FluxField` on the estimator's mesh; a
 solution of :func:`amfem.fem.solve` is one, as is a restriction to a
-refinement.  Every term samples it the same way: ``_element_samples`` gives
-A^-1 q and curl(A^-1 q) at the mesh's cached 6-point rule points
-``mesh.quad_points``, ``_edge_jumps`` the tangential jumps at edge points,
-and ``_element_term`` / ``_edge_term`` turn samples into the weighted
-per-element squares above.
-
-For A = a_T I with a_T constant per initial element (``problem.a``, every
-built-in), 1/a_T is read once per element and A^-1 q is affine on elements
-and edges: ``curl2``, ``curl_osc2``, ``disp_osc2`` and the interior part of
-``jump_osc2`` vanish identically and are returned as exact zeros; of
-``jump_osc2`` the residual of -g_tan on boundary edges is left.
+refinement.  ``_edge_jumps`` samples its tangential jumps at edge points
+and ``_edge_term`` turns them into the weighted per-element squares above.
 """
 
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .fem import PwConstData, coef_at, eval_f_on_elements, root_a_inv
+from .fem import PwConstData, eval_f_on_elements, root_a_inv
 from .mesh import MeshError
 from .quadrature import TRI_6, EDGE_3, EDGE_5, edge_points
 from .util import ordered_sum
@@ -84,14 +71,13 @@ class IndicatorReport:
     """Per-element squared indicator terms plus their ordered global sum."""
     mesh: object
     data2: np.ndarray
-    curl2: np.ndarray
     jump2: np.ndarray
     disp2: np.ndarray = None      # full estimator only
     eta2_elem: np.ndarray = dc_field(init=False)
     eta2: float = dc_field(init=False)
 
     def __post_init__(self):
-        total = self.data2 + self.curl2 + self.jump2
+        total = self.data2 + self.jump2
         if self.disp2 is not None:
             total = total + self.disp2
         object.__setattr__(self, "eta2_elem", total)
@@ -110,16 +96,14 @@ class IndicatorReport:
 @dataclass(frozen=True)
 class OscReport:
     """Oscillation terms; same weights and counting as the estimator terms."""
-    curl_osc2: np.ndarray
     jump_osc2: np.ndarray
     data_osc2: np.ndarray
-    disp_osc2: np.ndarray
-    osc2: float = dc_field(init=False)          # curl + jump + data
+    osc2: float = dc_field(init=False)          # jump + data
     osc_f2: float = dc_field(init=False)        # data only: osc(f, T)^2
 
     def __post_init__(self):
         object.__setattr__(self, "osc2", ordered_sum(
-            self.curl_osc2 + self.jump_osc2 + self.data_osc2))
+            self.jump_osc2 + self.data_osc2))
         object.__setattr__(self, "osc_f2", ordered_sum(self.data_osc2))
 
 
@@ -135,38 +119,9 @@ def _projection_residual(basis, w):
     return np.eye(basis.shape[0]) - basis @ np.linalg.solve(vw @ basis, vw)
 
 
-# affine functions on an element are spanned by its barycentric coordinates
-_P1_RESIDUAL = _projection_residual(TRI_6[0], TRI_6[1])
 # quadratics along an edge, in its parameter t
 _P2_EDGE_RESIDUAL = _projection_residual(
     np.vander(EDGE_5[0], 3, increasing=True), EDGE_5[1])
-
-
-def _element_samples(mesh, field, problem):
-    """A^-1 q and curl(A^-1 q) at the 6-point rule points of each element."""
-    pts = mesh.quad_points
-    q = field.eval(np.arange(mesh.n_elements), pts)
-    a_inv = root_a_inv(problem, mesh)
-    if a_inv is not None:
-        return a_inv[:, None, None] * q, np.zeros(pts.shape[:2])
-    ainv = coef_at(problem.A_inv, mesh.root_elem, pts)
-    curl = field.beta[:, None] * (ainv[:, :, 1, 0] - ainv[:, :, 0, 1])
-    if problem.curl_A_inv is not None:
-        cai = coef_at(problem.curl_A_inv, mesh.root_elem, pts)
-        curl = curl + np.einsum("tqd,tqd->tq", cai, q)
-    return np.einsum("tqab,tqb->tqa", ainv, q), curl
-
-
-def _element_term(mesh, values):
-    """h_T^2 ||v||_T^2 from samples of shape (nt, 6) or (nt, 6, 2)."""
-    sq = values ** 2 if values.ndim == 2 else \
-        np.einsum("tqd,tqd->tq", values, values)
-    return (sq @ TRI_6[1]) * mesh.areas ** 2
-
-
-def _p1_residual(values):
-    """Residual of the L2(T) projection onto affine functions, per element."""
-    return np.einsum("pq,tq...->tp...", _P1_RESIDUAL, values)
 
 
 def _edge_jumps(mesh, field, problem, rule):
@@ -179,18 +134,13 @@ def _edge_jumps(mesh, field, problem, rule):
     traces = np.zeros((ne, 2, q))
     if field is not None:
         # every element side of every edge in one batch, each side reading
-        # A^-1 by its own element's root; a missing side keeps a zero trace
+        # 1/a by its own element's root; a missing side keeps a zero trace.
+        # The batch sets the estimator's peak memory, so the points and the
+        # flux values are dropped as soon as they are used
         e, side = np.nonzero(mesh.edge_tris >= 0)
         t = mesh.edge_tris[e, side]
-        # the batch sets the estimator's peak memory, so each array is
-        # dropped once used
-        pts = epts[e]
-        qv = field.eval(t, pts)
-        a_inv = root_a_inv(problem, mesh)
-        av = a_inv[t][:, None, None] * qv if a_inv is not None else \
-            np.einsum("eqab,eqb->eqa", coef_at(problem.A_inv,
-                                               mesh.root_elem[t], pts), qv)
-        del pts, qv
+        av = root_a_inv(problem, mesh)[t][:, None, None] \
+            * field.eval(t, epts[e])
         traces[e, side] = np.einsum("eqd,ed->eq", av, tau[e])
 
     # side 0 minus side 1 inside; the one-sided trace on the boundary
@@ -231,8 +181,6 @@ def indicators_stress(mesh, field, problem):
     return IndicatorReport(
         mesh=mesh,
         data2=data_osc_elem(problem.f, mesh),
-        curl2=(np.zeros(mesh.n_elements) if problem.a is not None else
-               _element_term(mesh, _element_samples(mesh, field, problem)[1])),
         jump2=_edge_term(mesh, jumps, EDGE_3))
 
 
@@ -246,36 +194,27 @@ def indicators_full(mesh, field, problem, kappa=1.0):
     if not 0.0 <= kappa <= 1.0:
         raise ValueError("kappa must lie in [0, 1]")
     _check_mesh(mesh, field)
-    aq, curl = _element_samples(mesh, field, problem)
-    resid = eval_f_on_elements(problem.f, mesh, mesh.quad_points) \
-        + field.div[:, None]
+    pts = mesh.quad_points
+    aq = root_a_inv(problem, mesh)[:, None, None] \
+        * field.eval(np.arange(mesh.n_elements), pts)
+    resid = eval_f_on_elements(problem.f, mesh, pts) + field.div[:, None]
     jumps = _edge_jumps(mesh, field, problem, EDGE_3)
     return IndicatorReport(
         mesh=mesh,
         data2=((resid ** 2) @ TRI_6[1]) * mesh.areas ** kappa * mesh.areas,
-        curl2=_element_term(mesh, curl),
         jump2=_edge_term(mesh, jumps, EDGE_3),
-        disp2=_element_term(mesh, aq))
+        disp2=(np.einsum("tqd,tqd->tq", aq, aq) @ TRI_6[1]) * mesh.areas ** 2)
 
 
 def oscillations(mesh, field, problem):
     """Oscillation terms of the stress estimator, elementwise.
 
-    ``osc2`` collects curl, jump and data parts; ``osc_f2`` is the pure
-    data oscillation ||h (f - f_h)||^2; ``disp_osc2`` holds the
-    displacement residual part per element.
+    ``osc2`` collects the jump and data parts; ``osc_f2`` is the pure data
+    oscillation ||h (f - f_h)||^2.  A^-1 q is affine, so its jumps leave
+    no residual and only the -g_tan of boundary edges is projected.
     """
     _check_mesh(mesh, field)
-    curl_osc2 = disp_osc2 = np.zeros(mesh.n_elements)
-    if problem.a is None:
-        aq, curl = _element_samples(mesh, field, problem)
-        curl_osc2 = _element_term(mesh, _p1_residual(curl))
-        disp_osc2 = _element_term(mesh, _p1_residual(aq))
-    else:   # A^-1 q is affine: only -g_tan leaves a jump residual
-        field = None
-    jumps = _edge_jumps(mesh, field, problem, EDGE_5) @ _P2_EDGE_RESIDUAL.T
+    jumps = _edge_jumps(mesh, None, problem, EDGE_5) @ _P2_EDGE_RESIDUAL.T
     return OscReport(
-        curl_osc2=curl_osc2,
         jump_osc2=_edge_term(mesh, jumps, EDGE_5),
-        data_osc2=data_osc_elem(problem.f, mesh),
-        disp_osc2=disp_osc2)
+        data_osc2=data_osc_elem(problem.f, mesh))

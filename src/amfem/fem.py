@@ -41,7 +41,7 @@ from .quadrature import TRI_6, EDGE_3, edge_points
 
 __all__ = [
     "AssemblyError", "SolverError", "DofMap", "SaddleSystem", "MixedSolution",
-    "FluxField", "PwConstData", "build_dofmap", "coef_at", "root_a_inv",
+    "FluxField", "PwConstData", "build_dofmap", "root_a_inv",
     "project_f", "assemble", "solve",
 ]
 
@@ -49,7 +49,7 @@ RESIDUAL_TOL = 1e-10
 
 
 class AssemblyError(ValueError):
-    """Raised when coefficient data is unusable (e.g. A not SPD)."""
+    """Raised when coefficient data is unusable (e.g. a not positive)."""
 
 
 class SolverError(RuntimeError):
@@ -92,22 +92,11 @@ class PwConstData:
         return self.values[ancestor_map(mesh, self.mesh)]
 
 
-def coef_at(fn, roots, pts):
-    """Coefficient ``fn`` at the points ``pts`` (k, q, 2), where row i is
-    sampled for an element whose root element is ``roots[i]``.  The
-    values have shape (k, q, ...)."""
-    k, q = pts.shape[:2]
-    vals = np.asarray(fn(pts.reshape(-1, 2), np.repeat(roots, q)),
-                      dtype=np.float64)
-    return vals.reshape(k, q, *vals.shape[1:])
-
-
 def root_a_inv(problem, mesh):
     """1/a on each element for A = a I per root element (``problem.a``: one
-    value or one per root), None without ``a``; AssemblyError for a bad a."""
-    if problem.a is None:
-        return None
-    a = np.asarray(problem.a, dtype=np.float64)
+    value or one per root); AssemblyError, naming the first bad root, for
+    an a that is missing or not usable."""
+    a = np.asarray(problem.a, dtype=np.float64)     # None reads as NaN
     if a.shape not in ((), (mesh.n_roots,)):
         raise AssemblyError(f"a must hold one value per root element "
                             f"({mesh.n_roots}), got shape {a.shape}")
@@ -123,11 +112,14 @@ def root_a_inv(problem, mesh):
 
 
 def eval_f_on_elements(f, mesh, pts):
-    """Evaluate source data at per-element quadrature points ``pts`` (nt, q, 2)."""
+    """Source data at per-element points ``pts`` (nt, q, 2); a callable f
+    is called as ``f(points, roots)`` with each point's root element."""
     if isinstance(f, PwConstData):
         vals = f.values_on(mesh)
         return np.broadcast_to(vals[:, None], pts.shape[:2]).copy()
-    return coef_at(f, mesh.root_elem, pts)
+    nt, q = pts.shape[:2]
+    vals = f(pts.reshape(-1, 2), np.repeat(mesh.root_elem, q))
+    return np.asarray(vals, dtype=np.float64).reshape(nt, q)
 
 
 def project_f(f, mesh):
@@ -209,21 +201,6 @@ class SaddleSystem:
         return np.concatenate([rows, q.sum(axis=1)])
 
 
-def _check_spd(ainv, pts):
-    # each 2x2 block is divided by its largest entry, so that no test over-
-    # or underflows; a zero or non-finite block gives NaN and fails them
-    scale = np.abs(ainv).max(axis=(1, 2))[:, None, None]
-    with np.errstate(invalid="ignore", divide="ignore"):
-        a = ainv / scale
-    det = a[:, 0, 0] * a[:, 1, 1] - a[:, 0, 1] * a[:, 1, 0]
-    bad = ~((np.abs(a[:, 0, 1] - a[:, 1, 0]) <= 1e-12) & (a[:, 0, 0] > 0.0)
-            & (det > 0.0))
-    if np.any(bad):
-        i = int(np.flatnonzero(bad)[0])
-        raise AssemblyError(
-            f"A^-1 not symmetric positive definite at point {pts[i]}")
-
-
 def assemble(mesh, dofmap, problem, f_elem):
     """Build the saddle-point system for the given cellwise source means."""
     if dofmap.mesh is not mesh:
@@ -237,22 +214,17 @@ def assemble(mesh, dofmap, problem, f_elem):
     pts = mesh.quad_points                                # (nt, q, 2)
 
     # outward basis at point x: (x - P_i) / (2|T|); the local mass matrix
-    # is |T| sum_q w_q d_qi^T A^-1 d_qj / (2|T|)^2 with d_qi = x_q - P_i
+    # is |T| sum_q w_q d_qi . d_qj / (a_T (2|T|)^2) with d_qi = x_q - P_i
     nt, nq, ne = mesh.n_elements, w.size, mesh.n_edges
     d = pts[:, :, None, :] - verts[:, None, :, :]         # (nt, q, 3, 2)
-    if problem.a is None:
-        ainv = coef_at(problem.A_inv, mesh.root_elem, pts)  # (nt, q, 2, 2)
-        _check_spd(ainv.reshape(-1, 2, 2), pts.reshape(-1, 2))
-        ad = np.matmul(d, ainv * w[:, None, None])       # (nt, q, 3, 2)
-    else:   # the same products: the off-diagonal zeros only add +-0
-        ad = d * (root_a_inv(problem, mesh)[:, None] * w)[:, :, None, None]
+    ad = d * (root_a_inv(problem, mesh)[:, None] * w)[:, :, None, None]
     loc = np.matmul(ad.transpose(0, 2, 1, 3).reshape(nt, 3, 2 * nq),
                     d.transpose(0, 1, 3, 2).reshape(nt, 2 * nq, 3))
     loc *= (0.25 / mesh.areas)[:, None, None]
     loc = 0.5 * (loc + loc.transpose(0, 2, 1))            # exact symmetry
 
     rhs = np.zeros(ne + nt)
-    g = getattr(problem, "g", None)
+    g = problem.g
     if g is not None:
         bed = np.flatnonzero(mesh.boundary_edge)
         if bed.size:

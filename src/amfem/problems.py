@@ -1,18 +1,16 @@
 """Benchmark problems and error measurement.
 
-Coefficients are read by root element, not by location: ``A``, ``A_inv``,
-``curl_A_inv`` and ``f`` are called as ``fn(pts, roots)`` with points of
-shape ``(n, 2)`` and ``roots[i]``, the initial element (``mesh.root_elem``)
-of the element point ``i`` is sampled for.  A coefficient that jumps across
-initial-mesh edges therefore takes each side's own value on the interface.
-``A`` and ``A_inv`` return ``(n, 2, 2)``, ``curl_A_inv`` returns ``(n, 2)``
-holding the scalar curl of each column of ``A_inv``, ``f`` returns
-``(n,)``.  The boundary data ``g`` and ``g_tan`` and the exact solutions
-are functions of the points alone.  :func:`piecewise` builds every problem
-whose A = a I and f are constant and polynomial per initial element.
-``ProblemSpec.a`` holds such an a, one value per initial element or one for
-all (every built-in sets it): assembly, estimator and error pass then read
-1/a once per element and never call ``A_inv``; ``a = None`` samples it.
+Every problem has A = a I with a constant on each initial element:
+``ProblemSpec.a`` holds one positive value per initial element or one for
+all, and assembly, estimators and the error pass read 1/a once per element
+(:func:`amfem.fem.root_a_inv`).  The source ``f`` is read by root element,
+not by location: it is called as ``f(pts, roots)`` with points of shape
+``(n, 2)`` and ``roots[i]``, the initial element (``mesh.root_elem``) of
+the element point ``i`` is sampled for, and returns ``(n,)``; a source that
+jumps across initial-mesh edges therefore takes each side's own value on
+the interface.  The boundary data ``g`` and ``g_tan`` and the exact
+solutions are functions of the points alone.  :func:`piecewise` builds
+every problem whose f is polynomial per initial element.
 
 Built-in problems
 -----------------
@@ -40,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fem import coef_at, eval_f_on_elements, root_a_inv
+from .fem import eval_f_on_elements, root_a_inv
 from .mesh import ancestor_map
 from .quadrature import TRI_7, tri_points
 from .util import ordered_sum
@@ -51,38 +49,23 @@ __all__ = ["ProblemSpec", "ErrorTriple", "builtin", "piecewise",
 
 @dataclass
 class ProblemSpec:
-    """One boundary value problem.  ``A``, ``A_inv``, ``f`` and
-    ``curl_A_inv`` take ``(pts, roots)``, the other callables the points
-    alone (see the module docstring)."""
+    """One boundary value problem with A = a I per initial element.  ``f``
+    takes ``(pts, roots)``, the other callables the points alone (see the
+    module docstring)."""
     name: str
     domain: str
-    A: callable
-    A_inv: callable
     f: object                    # callable or PwConstData
-    curl_A_inv: callable = None  # None means identically zero
+    a: object                    # one value, or one per initial element
     g: callable = None           # None means homogeneous Dirichlet data
     g_tan: callable = None       # tangential derivative of g, None means zero
     exact_u: callable = None
     exact_p: callable = None
-    a: object = None             # A = a I per initial element, or None
+    # read by perfbench/tracer.py until its benchmark change (ROADMAP item 1)
+    A = A_inv = curl_A_inv = None
 
     @property
     def has_exact(self):
         return self.exact_p is not None
-
-
-def _scalar(a):
-    """``a``, ``A``, ``A_inv`` of A = a I, a per initial element or single."""
-    a = np.asarray(a, dtype=np.float64)
-
-    def times_eye(c):
-        return lambda pts, roots: np.multiply.outer(
-            c[roots] if c.ndim else np.full(len(roots), c), np.eye(2))
-
-    # a bad a is reported by fem.root_a_inv, which names its root
-    with np.errstate(divide="ignore", over="ignore"):
-        a_inv = 1.0 / a
-    return {"a": a, "A": times_eye(a), "A_inv": times_eye(a_inv)}
 
 
 def _square_sine():
@@ -100,8 +83,8 @@ def _square_sine():
         return 2.0 * np.pi ** 2 * u(pts)
 
     return ProblemSpec(
-        name="square_sine", domain="unit_square", f=f, exact_u=u, exact_p=p,
-        **_scalar(1.0))
+        name="square_sine", domain="unit_square", f=f, a=1.0, exact_u=u,
+        exact_p=p)
 
 
 def _square_pwconst():
@@ -139,8 +122,8 @@ def _lshape_singular():
         return np.einsum("nd,nd->n", p(pts), tau)
 
     return ProblemSpec(
-        name="lshape_singular", domain="lshape", f=f, g=u, g_tan=g_tan,
-        exact_u=u, exact_p=p, **_scalar(1.0))
+        name="lshape_singular", domain="lshape", f=f, a=1.0, g=u,
+        g_tan=g_tan, exact_u=u, exact_p=p)
 
 
 def _checkerboard():
@@ -155,13 +138,13 @@ def piecewise(name, domain, a, f):
 
     ``a`` holds one positive constant per initial element of ``domain``'s
     mesh and ``f`` maps each power pair ``(i, j)`` to one coefficient per
-    initial element.  Both are read by the roots the coefficients are
-    called with, as one gather over the per-root tables.
+    initial element; f reads them by the roots it is called with, as one
+    gather over the per-root table.
     """
-    coef = _scalar(a)
+    a = np.asarray(a, dtype=np.float64)
     powers = sorted(f)
     table = np.array([f[m] for m in powers], dtype=np.float64).reshape(
-        len(powers), coef["a"].size).T             # (n_roots, n_monomials)
+        len(powers), a.size).T                      # (n_roots, n_monomials)
 
     def f_of(pts, roots):
         c = table[roots]
@@ -170,7 +153,7 @@ def piecewise(name, domain, a, f):
             out += c[:, m] * pts[:, 0] ** i * pts[:, 1] ** j
         return out
 
-    return ProblemSpec(name=name, domain=domain, f=f_of, **coef)
+    return ProblemSpec(name=name, domain=domain, f=f_of, a=a)
 
 
 BUILTIN_PROBLEMS = {
@@ -234,7 +217,7 @@ def _errors_vs_exact(sol, problem):
 
     perr = np.asarray(problem.exact_p(flat)).reshape(pts.shape) - sol.eval(
         np.arange(mesh.n_elements), pts)
-    flux2 = _flux_norm2(problem, mesh, pts, perr)
+    flux2 = _flux_norm2(problem, mesh, perr)
 
     fv = eval_f_on_elements(problem.f, mesh, pts)
     ddiff = -fv - sol.div[:, None]          # div p = -f pointwise
@@ -258,13 +241,12 @@ def flux_dist2(problem, mesh, field_a, field_b):
     pts = tri_points(TRI_7, mesh.vertices[mesh.triangles])
     ids = np.arange(mesh.n_elements)
     d = field_a.eval(ids, pts) - field_b.eval(ids, pts)
-    return _flux_norm2(problem, mesh, pts, d)
+    return _flux_norm2(problem, mesh, d)
 
 
-def _flux_norm2(problem, mesh, pts, d):
-    """||A^(-1/2) d||^2 from flux samples ``d`` at the TRI_7 points ``pts``."""
-    a_inv = root_a_inv(problem, mesh)   # below: the einsum's nonzero products
-    dens = ((d * a_inv[:, None, None]) * d).sum(axis=-1) if a_inv is not None \
-        else np.einsum("tqa,tqab,tqb->tq", d,
-                       coef_at(problem.A_inv, mesh.root_elem, pts), d)
+def _flux_norm2(problem, mesh, d):
+    """||A^(-1/2) d||^2 from flux samples ``d`` at each element's TRI_7
+    points."""
+    a_inv = root_a_inv(problem, mesh)
+    dens = ((d * a_inv[:, None, None]) * d).sum(axis=-1)
     return ordered_sum((dens @ TRI_7[1]) * mesh.areas)

@@ -248,7 +248,6 @@ def _suite_oscillation(seed):
             osc = oscillations(mesh, sol, problem)
             scale = float(np.max(rep.eta2_elem))
             for o, e in ((osc.data_osc2, rep.data2),
-                         (osc.curl_osc2, rep.curl2),
                          (osc.jump_osc2, rep.jump2)):
                 worst = max(worst, float(np.max(o - e)) / scale)
             mesh = refine(mesh, dorfler_mark(rep.eta2_elem, 0.5).ids).mesh

@@ -235,26 +235,6 @@ def test_amfem_rejects_unknown_knobs():
         amfem(builtin("square_sine"), errors="refernce")
 
 
-@pytest.mark.parametrize("name, estimator, errors", [
-    ("lshape_singular", "stress", "auto"),
-    ("checkerboard", "full", "reference"),
-])
-def test_scalar_coefficients_never_sample_A_inv(name, estimator, errors):
-    # with A = a I per root no layer, the error pass included, falls back
-    # to sampling A^-1 point by point
-    prob = builtin(name)
-    points = []
-
-    def counted(pts, roots):
-        points.append(len(pts))
-        return prob.A_inv(pts, roots)
-
-    tr = amfem(replace(prob, A_inv=counted), max_dofs=3000,
-               estimator=estimator, errors=errors)
-    assert np.isfinite(tr.column("E2")).all()
-    assert points == []
-
-
 def test_amfem_full_estimator_runs():
     trace = amfem(builtin("square_sine"), estimator="full", kappa=0.5,
                   max_dofs=300)

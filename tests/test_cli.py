@@ -56,6 +56,17 @@ def test_run_writes_all_artifacts(tmp_path):
     assert header.split(",")[:3] == ["k", "n_elem", "n_flux_dofs"]
 
 
+@pytest.mark.parametrize("estimator, header", [
+    ("stress", "element,data2,jump2,jump_osc2,data_osc2,h"),
+    ("full", "element,data2,jump2,disp2,jump_osc2,data_osc2,h"),
+])
+def test_indicators_csv_columns(estimator, header, tmp_path):
+    out = tmp_path / "out"
+    assert run_cli("run", "--problem", "square_sine", "--estimator",
+                   estimator, "--max-dofs", "200", "--out", str(out)) == 0
+    assert (out / "indicators.csv").read_text().splitlines()[0] == header
+
+
 def test_final_mesh_round_trips_via_load(tmp_path):
     out = tmp_path / "out"
     assert run_cli("run", "--problem", "lshape_singular",
@@ -529,9 +540,7 @@ def test_custom_problem_coefficients():
     prob = make_custom_problem({"a.0": 4.0, "f.1.0": 1.0, "f.0.2.0": -0.5})
     pts = np.array([[0.25, 0.125], [0.75, 0.875]])  # region 0, region 1
     roots = np.array([0, 1])
-    a = prob.A(pts, roots)
-    assert a[0, 0, 0] == 4.0 and a[0, 1, 1] == 4.0
-    assert a[1, 0, 0] == 1.0
+    assert prob.a[0] == 4.0 and prob.a[1] == 1.0
     f = prob.f(pts, roots)
     assert f[0] == pytest.approx(0.25 - 0.5 * 0.25 ** 2)
     assert f[1] == pytest.approx(0.75)

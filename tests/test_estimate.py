@@ -13,40 +13,12 @@ from amfem.mesh import MeshError, create_initial, refine, uniform_refine
 from amfem.problems import ProblemSpec, builtin
 
 
-def identity_A(x, roots):
-    x = np.atleast_2d(x)
-    return np.broadcast_to(np.eye(2), (x.shape[0], 2, 2)).copy()
-
-
 def make_problem(f, name="synthetic", **kw):
-    return ProblemSpec(name=name, domain="unit_square", A=identity_A,
-                       A_inv=identity_A, f=f, **kw)
+    return ProblemSpec(name=name, domain="unit_square", f=f, a=1.0, **kw)
 
 
 def zero_field(mesh):
     return FluxField.from_coeffs(mesh, np.zeros(mesh.n_edges))
-
-
-def varcoef_problem():
-    """A = (1 + x^2) I: smooth, symmetric, with a nonzero Curl A^-1."""
-
-    def A(x, roots):
-        x = np.atleast_2d(x)
-        return (1.0 + x[:, 0] ** 2)[:, None, None] * np.eye(2)[None]
-
-    def A_inv(x, roots):
-        x = np.atleast_2d(x)
-        return (1.0 / (1.0 + x[:, 0] ** 2))[:, None, None] * np.eye(2)[None]
-
-    def curl_A_inv(x, roots):
-        x = np.atleast_2d(x)
-        gx = -2.0 * x[:, 0] / (1.0 + x[:, 0] ** 2) ** 2
-        return np.stack([np.zeros_like(gx), gx], axis=-1)
-
-    return ProblemSpec(name="varcoef", domain="unit_square", A=A,
-                       A_inv=A_inv, f=lambda x, roots: np.ones(
-                           np.atleast_2d(x).shape[0]),
-                       curl_A_inv=curl_A_inv)
 
 
 # ---------------------------------------------------------------------------
@@ -74,68 +46,6 @@ def test_zero_everything_gives_zero_estimator():
 
 # ---------------------------------------------------------------------------
 # term structure
-
-
-def test_curl_term_vanishes_for_constant_coefficients():
-    for name in ("square_sine", "square_pwconst", "checkerboard"):
-        prob = builtin(name)
-        mesh = uniform_refine(create_initial(prob.domain), 2)
-        rep = indicators_stress(mesh, solve_on(prob, mesh), prob)
-        assert np.all(rep.curl2 == 0.0)
-
-
-def test_curl_term_matches_independent_quadrature():
-    # for a flux in the lowest-order space and A = (1 + x^2) I,
-    # curl(A^-1 q) reduces to Curl(a^-1) . q
-    prob = varcoef_problem()
-    mesh = uniform_refine(create_initial("unit_square"), 4)
-    sol = solve_on(prob, mesh)
-    rep = indicators_stress(mesh, sol, prob)
-    assert rep.curl2.sum() > 0.0
-
-    pts = quad.tri_points(quad.TRI_7, mesh.vertices[mesh.triangles])
-    el = np.arange(mesh.n_elements)
-    vals = sol.eval(el, pts)
-    cai = prob.curl_A_inv(pts.reshape(-1, 2), np.repeat(
-        mesh.root_elem, pts.shape[1])).reshape(pts.shape)
-    cv = np.einsum("tqd,tqd->tq", cai, vals)
-    manual = mesh.areas ** 2 * ((cv ** 2) @ quad.TRI_7[1])
-    # different quadrature degrees, so agreement is approximate
-    assert np.allclose(rep.curl2, manual, rtol=2e-3, atol=1e-15)
-
-
-def test_element_oscillations_match_least_squares_fits():
-    # the constant reference projector against a weighted least-squares
-    # fit of {1, x, y} in physical coordinates on every element of a mesh
-    # graded toward (1, 1), where curl(A^-1 q) and A^-1 q are not affine
-    prob = varcoef_problem()
-    mesh = uniform_refine(create_initial("unit_square"), 4)
-    for _ in range(8):
-        corner = (mesh.vertices[mesh.triangles] == 1.0).all(axis=2).any(axis=1)
-        mesh = refine(mesh, np.flatnonzero(corner)).mesh
-    sol = solve_on(prob, mesh)
-    osc = oscillations(mesh, sol, prob)
-
-    pts = quad.tri_points(quad.TRI_6, mesh.vertices[mesh.triangles])
-    w = quad.TRI_6[1]
-    q = sol.eval(np.arange(mesh.n_elements), pts)
-    cai = prob.curl_A_inv(pts.reshape(-1, 2), np.repeat(
-        mesh.root_elem, pts.shape[1])).reshape(pts.shape)
-    curl = np.einsum("tqd,tqd->tq", cai, q)
-    aq = q / (1.0 + pts[..., :1] ** 2)
-    ref_curl = np.empty(mesh.n_elements)
-    ref_disp = np.empty(mesh.n_elements)
-    for t in range(mesh.n_elements):
-        basis = np.column_stack([np.ones(6), pts[t]])
-        for vals, out in ((curl[t][:, None], ref_curl), (aq[t], ref_disp)):
-            coef = np.linalg.lstsq(np.sqrt(w)[:, None] * basis,
-                                   np.sqrt(w)[:, None] * vals, rcond=None)[0]
-            resid = vals - basis @ coef
-            out[t] = mesh.areas[t] ** 2 * (w @ (resid ** 2).sum(axis=1))
-
-    assert ref_curl.min() > 0.0 and ref_disp.min() > 0.0
-    assert np.allclose(osc.curl_osc2, ref_curl, rtol=1e-10, atol=0.0)
-    assert np.allclose(osc.disp_osc2, ref_disp, rtol=1e-10, atol=0.0)
 
 
 def test_jump_locality_single_edge_field():
@@ -218,7 +128,6 @@ def test_oscillation_dominance_elementwise():
         rep = indicators_stress(mesh, sol, prob)
         osc = oscillations(mesh, sol, prob)
         assert np.all(osc.data_osc2 <= rep.data2 + 1e-15)
-        assert np.all(osc.curl_osc2 <= rep.curl2 + 1e-15)
         assert np.all(osc.jump_osc2 <= rep.jump2 + 1e-15)
         assert osc.osc2 <= rep.eta2 + 1e-12
 

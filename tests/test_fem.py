@@ -14,18 +14,12 @@ from amfem.fem import (AssemblyError, FluxField, MixedSolution, PwConstData,
                        project_f, solve)
 from amfem.mesh import (Mesh, ancestor_map, create_initial, dissection_order,
                         refine, uniform_refine)
-from amfem.problems import ProblemSpec, builtin, exact_errors
-from test_estimate import varcoef_problem
-
-
-def identity_A(x, roots):
-    x = np.atleast_2d(x)
-    return np.broadcast_to(np.eye(2), (x.shape[0], 2, 2)).copy()
+from amfem.problems import ProblemSpec, builtin, exact_errors, piecewise
+from sampled_path import a_inv_fn, at_points
 
 
 def const_problem(fval=1.0, name="const"):
-    return ProblemSpec(name=name, domain="unit_square", A=identity_A,
-                       A_inv=identity_A,
+    return ProblemSpec(name=name, domain="unit_square", a=1.0,
                        f=lambda x, roots: np.full(np.atleast_2d(x).shape[0],
                                                   fval))
 
@@ -171,6 +165,13 @@ def graded(domain, point, rounds):
     return mesh
 
 
+def random_a_problem(domain, seed=0):
+    """f = 1 and a = 10^U(-2, 2) on each initial element of ``domain``."""
+    n = create_initial(domain).n_elements
+    a = 10.0 ** np.random.default_rng(seed).uniform(-2.0, 2.0, n)
+    return piecewise("random_a", domain, a, {(0, 0): np.ones(n)})
+
+
 def one_triangle():
     return Mesh(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
                 np.array([[0, 1, 2]]))
@@ -185,7 +186,7 @@ SOLVE_CASES = {
         create_initial("unit_square"), 3)),
     "checkerboard_graded": lambda: (builtin("checkerboard"), graded(
         "checkerboard", (0.5, 0.5), 8)),
-    "varcoef_lshape_graded": lambda: (varcoef_problem(), graded(
+    "varcoef_lshape_graded": lambda: (random_a_problem("lshape"), graded(
         "lshape", (0.0, 0.0), 10)),
     "checkerboard_deepest": lambda: (builtin("checkerboard"), graded(
         "checkerboard", (0.0, 0.0), 58)),
@@ -315,12 +316,12 @@ def test_dissection_order_bounds_the_fill(monkeypatch):
 
 
 def einsum_mass_matrix(mesh, problem):
-    """The flux mass matrix by the four-index einsum formula, as reference."""
+    """The flux mass matrix by the four-index einsum formula, with A^-1
+    sampled as a 2x2 matrix at every point, as reference."""
     _, w = quad.TRI_6
     verts = mesh.vertices[mesh.triangles]
     pts = mesh.quad_points
-    ainv = problem.A_inv(pts.reshape(-1, 2), np.repeat(
-        mesh.root_elem, pts.shape[1])).reshape(pts.shape + (2,))
+    ainv = at_points(a_inv_fn(problem.a), mesh.root_elem, pts)
     s = mesh.tri_edge_sign.astype(np.float64)
     inv2a = 1.0 / (2.0 * mesh.areas)
     basis = (pts[:, :, None, :] - verts[:, None, :, :]) \
@@ -391,13 +392,7 @@ def test_failed_factorization_is_a_solver_error(monkeypatch):
         solve_on(const_problem(), m)
 
 
-NOT_SPD = "^A\\^-1 not symmetric positive definite at point "
-
-
 @pytest.mark.parametrize("case, match", [
-    ("indefinite", NOT_SPD),
-    ("non_symmetric", NOT_SPD),
-    ("nan", NOT_SPD),
     ("foreign_dofmap", "^dofmap was built for a different mesh$"),
     ("short_f_elem", "^f_elem must hold one value per element$"),
 ])
@@ -405,13 +400,7 @@ def test_assemble_refuses_unusable_input(case, match):
     m = uniform_refine(create_initial("unit_square"))
     prob, dofmap = const_problem(), build_dofmap(m)
     f_elem = np.ones(m.n_elements)
-    ainv = {"indefinite": [[1.0, 0.0], [0.0, -1.0]],
-            "non_symmetric": [[1.0, 0.5], [0.0, 1.0]],
-            "nan": [[np.nan, 0.0], [0.0, 1.0]]}.get(case)
-    if ainv is not None:
-        prob = replace(prob, A_inv=lambda x, roots: np.broadcast_to(
-            np.array(ainv), (x.shape[0], 2, 2)).copy())
-    elif case == "foreign_dofmap":
+    if case == "foreign_dofmap":
         dofmap = build_dofmap(create_initial("unit_square"))
     else:
         f_elem = f_elem[1:]
@@ -433,6 +422,17 @@ def test_assemble_refuses_unusable_scalar_coefficient(bad):
         assemble(m, build_dofmap(m), replace(prob, a=a), np.ones(m.n_elements))
 
 
+@pytest.mark.filterwarnings("error")
+def test_assemble_refuses_a_problem_without_a():
+    # a missing a reads as NaN: the typed error names the first root
+    m = uniform_refine(create_initial("unit_square"))
+    with pytest.raises(AssemblyError, match=(
+            "^a = nan on root element 0: a and 1/a must be finite, "
+            "positive$")):
+        assemble(m, build_dofmap(m), replace(const_problem(), a=None),
+                 np.ones(m.n_elements))
+
+
 def test_assemble_refuses_scalar_coefficient_of_wrong_length():
     prob = replace(builtin("checkerboard"), a=np.ones(7))
     m = uniform_refine(create_initial("checkerboard"))
@@ -451,15 +451,7 @@ def test_coefficient_scaling():
     # divides the displacement by c, for homogeneous boundary data
     base = builtin("square_sine")
     c = 7.0
-
-    def A_scaled(x, roots):
-        return c * base.A(x, roots)
-
-    def A_inv_scaled(x, roots):
-        return base.A_inv(x, roots) / c
-
-    scaled = ProblemSpec(name="scaled", domain=base.domain, A=A_scaled,
-                         A_inv=A_inv_scaled, f=base.f)
+    scaled = replace(base, a=c * base.a)
     m = uniform_refine(create_initial("unit_square"), 2)
     s0 = solve_on(base, m)
     s1 = solve_on(scaled, m)

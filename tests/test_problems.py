@@ -6,20 +6,16 @@ import numpy as np
 import pytest
 
 import amfem.quadrature as quad
+import sampled_path as sampled
 from amfem.adapt import data_osc_elem, make_reference, solve_on
-from amfem.estimate import (_P2_EDGE_RESIDUAL, _edge_jumps, _edge_term,
-                            indicators_full, indicators_stress, oscillations)
+from amfem.estimate import (_P2_EDGE_RESIDUAL, _edge_term, indicators_full,
+                            indicators_stress, oscillations)
 from amfem.fem import (AssemblyError, PwConstData, assemble, build_dofmap,
-                       project_f)
+                       project_f, root_a_inv)
 from amfem.mesh import Mesh, create_initial, refine, uniform_refine
 from amfem.problems import (BUILTIN_PROBLEMS, ProblemSpec, builtin,
                             exact_errors, flux_dist2, piecewise)
 from amfem.util import ordered_sum
-
-
-def identity_A(x, roots):
-    x = np.atleast_2d(x)
-    return np.broadcast_to(np.eye(2), (x.shape[0], 2, 2)).copy()
 
 
 def bubble_problem():
@@ -39,8 +35,8 @@ def bubble_problem():
         x = np.atleast_2d(x)
         return 2 * x[:, 1] * (1 - x[:, 1]) + 2 * x[:, 0] * (1 - x[:, 0])
 
-    return ProblemSpec(name="bubble", domain="unit_square", A=identity_A,
-                       A_inv=identity_A, f=f, exact_u=u, exact_p=p)
+    return ProblemSpec(name="bubble", domain="unit_square", f=f, a=1.0,
+                       exact_u=u, exact_p=p)
 
 
 def interior_points(problem, rng, n, min_r=0.0):
@@ -74,22 +70,20 @@ def test_registry_and_unknown_name():
 
 @pytest.mark.parametrize("name", sorted(BUILTIN_PROBLEMS))
 def test_coefficient_inverse_pair(name):
+    # A = a I and A^-1 = (1/a) I per root: a is positive (A is SPD) and
+    # the 1/a every layer reads inverts it on each element
     prob = builtin(name)
-    rng = np.random.default_rng(1)
-    x, roots = interior_points(prob, rng, 40)
-    A = prob.A(x, roots)
-    Ainv = prob.A_inv(x, roots)
-    assert np.allclose(A @ Ainv, np.eye(2)[None], atol=1e-12)
-    # symmetric positive definite
-    assert np.allclose(A, np.transpose(A, (0, 2, 1)), atol=1e-14)
-    assert np.all(np.linalg.eigvalsh(A) > 0.0)
+    mesh = uniform_refine(create_initial(prob.domain), 2)
+    a = np.broadcast_to(prob.a, (mesh.n_roots,))[mesh.root_elem]
+    assert np.all(a > 0.0)
+    assert np.allclose(a * root_a_inv(prob, mesh), 1.0, rtol=0.0, atol=1e-15)
 
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("a0", [1e-309, 0.0])
 def test_unusable_scalar_a_reports_its_root_without_a_warning(a0):
-    # 1/a overflows or divides by zero when the problem is built; the typed
-    # error names the root when the problem is solved
+    # 1/a overflows or divides by zero; the typed error names the root
+    # when the problem is solved
     prob = piecewise("x", "unit_square", [a0, 1.0], {(0, 0): [1.0, 1.0]})
     with pytest.raises(AssemblyError, match="on root element 0:"):
         solve_on(prob, create_initial("unit_square"))
@@ -109,10 +103,13 @@ def test_pwconst_source_sign_split():
 
 
 def test_checkerboard_contrast_layout():
+    # a = 100 on the lower-left and upper-right quarter cells, 1 elsewhere
     prob = builtin("checkerboard")
-    pts = np.array([[0.25, 0.25], [0.75, 0.75], [0.25, 0.75], [0.75, 0.25]])
-    a = prob.A(pts, np.array([0, 6, 4, 2]))[:, 0, 0]
-    assert np.allclose(a, [100.0, 100.0, 1.0, 1.0])
+    assert np.allclose(prob.a[[0, 6, 4, 2]], [100.0, 100.0, 1.0, 1.0])
+    mesh = create_initial("checkerboard")
+    centroids = mesh.vertices[mesh.triangles].mean(axis=1)
+    diagonal = (centroids[:, 0] < 0.5) == (centroids[:, 1] < 0.5)
+    assert np.array_equal(prob.a, np.where(diagonal, 100.0, 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -133,48 +130,61 @@ def _graded(domain):
     return mesh
 
 
-def _through_every_layer(prob, mesh):
-    sol = solve_on(prob, mesh)
-    fe = project_f(prob.f, mesh)
-    loc = assemble(mesh, build_dofmap(mesh), prob, fe).loc
-    ref = None if prob.has_exact else make_reference(prob, mesh)
-    return (sol, loc, indicators_stress(mesh, sol, prob),
-            indicators_full(mesh, sol, prob, kappa=0.5),
-            oscillations(mesh, sol, prob), exact_errors(sol, prob, ref).E2)
-
-
 @pytest.mark.parametrize("name", sorted(BUILTIN_PROBLEMS))
 def test_scalar_coefficients_equal_the_sampled_path(name):
-    # reading 1/a once per element performs the products of the sampled
-    # 2x2 path without its off-diagonal zeros, which only add +-0: the
-    # local matrices, both estimators and the error agree bit for bit
-    scalar = builtin(name)
-    assert scalar.a is not None
-    general = replace(scalar, a=None)
-    mesh = _graded(scalar.domain)
-    sol, loc, stress, full, osc, E2 = _through_every_layer(scalar, mesh)
-    _, loc_g, stress_g, full_g, osc_g, E2_g = _through_every_layer(
-        general, mesh)
-    assert np.array_equal(loc, loc_g)
-    assert np.array_equal(stress.eta2_elem, stress_g.eta2_elem)
-    assert np.array_equal(full.eta2_elem, full_g.eta2_elem)
-    assert E2 == E2_g
+    # reading 1/a once per element performs the products of sampling
+    # A^-1 = (1/a) I as a 2x2 matrix at every point, without its
+    # off-diagonal zeros, which only add +-0: the local matrices, both
+    # estimators and the error agree bit for bit
+    prob = builtin(name)
+    A_inv = sampled.a_inv_fn(prob.a)
+    mesh = _graded(prob.domain)
+    sol = solve_on(prob, mesh)
+    loc = assemble(mesh, build_dofmap(mesh), prob,
+                   project_f(prob.f, mesh)).loc
+    stress = indicators_stress(mesh, sol, prob)
+    full = indicators_full(mesh, sol, prob, kappa=0.5)
+    osc = oscillations(mesh, sol, prob)
+    ref = None if prob.has_exact else make_reference(prob, mesh)
+    err = exact_errors(sol, prob, ref)
+
+    aq, curl = sampled.element_samples(mesh, sol, A_inv)
+    curl2 = sampled.element_term(mesh, curl)
+    disp2 = sampled.element_term(mesh, aq)
+    jump2 = _edge_term(mesh, sampled.edge_jumps(mesh, sol, prob, A_inv,
+                                                quad.EDGE_3), quad.EDGE_3)
+    fine = mesh if ref is None else ref.mesh
+    pts = quad.tri_points(quad.TRI_7, fine.vertices[fine.triangles])
+    ids = np.arange(fine.n_elements)
+    exact = prob.exact_p(pts.reshape(-1, 2)).reshape(pts.shape) \
+        if ref is None else ref.eval(ids, pts)
+    flux2 = sampled.flux_norm2(fine, pts, exact - sol.restrict_to(fine).eval(
+        ids, pts), A_inv)
+    assert np.array_equal(loc, sampled.local_matrices(mesh, A_inv))
+    assert np.array_equal(stress.eta2_elem, stress.data2 + curl2 + jump2)
+    assert np.array_equal(full.eta2_elem,
+                          full.data2 + curl2 + jump2 + disp2)
+    assert err.E2 == flux2 + err.div2
 
     # A^-1 q_h is affine on each element, so the sampled path's curl,
-    # displacement and interior jump oscillations are round-off
-    jumps = _edge_jumps(mesh, sol, general, quad.EDGE_5) \
+    # displacement and interior jump oscillations are round-off, and the
+    # library leaves them out
+    curl_osc2 = sampled.element_term(mesh, sampled.p1_residual(curl))
+    disp_osc2 = sampled.element_term(mesh, sampled.p1_residual(aq))
+    jumps = sampled.edge_jumps(mesh, sol, prob, A_inv, quad.EDGE_5) \
         @ _P2_EDGE_RESIDUAL.T
+    jump_osc2 = _edge_term(mesh, jumps, quad.EDGE_5)
     jumps[mesh.boundary_edge] = 0.0
     inner_jump_osc2 = _edge_term(mesh, jumps, quad.EDGE_5)
-    assert np.all(osc_g.curl_osc2 <= 1e-15 * stress_g.curl2)
-    assert np.all(osc_g.disp_osc2 <= 1e-15 * full_g.disp2)
-    assert np.all(inner_jump_osc2 <= 1e-15 * stress_g.jump2)
-    # the scalar path writes them as exact zeros
-    assert not osc.curl_osc2.any() and not osc.disp_osc2.any()
-    if scalar.g_tan is None:
+    assert np.all(curl_osc2 <= 1e-15 * curl2)
+    assert np.all(disp_osc2 <= 1e-15 * disp2)
+    assert np.all(inner_jump_osc2 <= 1e-15 * jump2)
+    if prob.g_tan is None:
         assert not osc.jump_osc2.any()
-    assert abs(osc.osc2 - osc_g.osc2) <= 1e-15 * stress.eta2
-    assert np.array_equal(osc.data_osc2, osc_g.data_osc2)
+    data_osc2 = data_osc_elem(prob.f, mesh)
+    assert abs(osc.osc2 - ordered_sum(curl_osc2 + jump_osc2 + data_osc2)) \
+        <= 1e-15 * stress.eta2
+    assert np.array_equal(osc.data_osc2, data_osc2)
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +202,9 @@ def test_flux_is_coefficient_times_gradient(name):
     gx = (prob.exact_u(x + ex) - prob.exact_u(x - ex)) / (2 * h)
     gy = (prob.exact_u(x + ey) - prob.exact_u(x - ey)) / (2 * h)
     grad = np.stack([gx, gy], axis=-1)
-    want = np.einsum("nij,nj->ni", prob.A(x, roots), grad)
+    n_roots = create_initial(prob.domain).n_elements
+    a = np.broadcast_to(prob.a, (n_roots,))[roots]
+    want = a[:, None] * grad
     assert np.allclose(prob.exact_p(x), want, atol=1e-6)
 
 
