@@ -335,14 +335,14 @@ def dump_solution_csv(sol, base_path):
         "boundary": mesh.boundary_edge})
 
 
-def dump_indicators_csv(report, osc, path):
+def dump_indicators_csv(report, path):
     """Per-element CSV: indicator terms, oscillation terms and h_T."""
     mesh = report.mesh
     cols = {"element": np.arange(mesh.n_elements), "data2": report.data2,
             "jump2": report.jump2}
     if report.disp2 is not None:
         cols["disp2"] = report.disp2
-    cols.update(jump_osc2=osc.jump_osc2, data_osc2=osc.data_osc2,
+    cols.update(jump_osc2=report.jump_osc2, data_osc2=report.data_osc2,
                 h=np.sqrt(mesh.areas))
     write_csv(path, cols)
 
@@ -370,8 +370,7 @@ def cmd_run(args):
     state = trace.states[-1]
     state.mesh.save(os.path.join(cfg.out, "final_mesh.txt"))
     dump_solution_csv(state.sol, os.path.join(cfg.out, "solution"))
-    dump_indicators_csv(state.report, state.osc,
-                        os.path.join(cfg.out, "indicators.csv"))
+    dump_indicators_csv(state.report, os.path.join(cfg.out, "indicators.csv"))
     summary = _summarize(cfg, trace)
     with open(os.path.join(cfg.out, "summary.json"), "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)

@@ -36,9 +36,11 @@ derivative of the Dirichlet datum (zero for g = 0, recovering the plain
 one-sided trace).
 
 Oscillations replace integrands by their residuals under local L2-best
-approximation.  Only two terms leave one: the data term, whose integrand
-f - f_h already is the residual of the cellwise mean, and the boundary
-jumps, where -g_tan is projected onto quadratics along each edge.  That
+approximation; every report carries them next to the estimator terms of
+the same mesh.  Only two terms leave one: the stress data term, whose
+integrand f - f_h already is the residual of the cellwise mean (one array
+serves as both), and the boundary jumps, where -g_tan is projected onto
+quadratics along each boundary edge; no other edge is sampled.  That
 projection commutes with the affine map of an edge, and a quadrature rule
 has the same reference nodes and weights on every edge, so its residual
 is one constant matrix ``I - V (V^T W V)^-1 V^T W`` applied to the
@@ -52,7 +54,7 @@ refinement.  ``_edge_jumps`` samples its tangential jumps at edge points
 and ``_edge_term`` turns them into the weighted per-element squares above.
 """
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
 
@@ -62,19 +64,24 @@ from .quadrature import TRI_6, EDGE_3, EDGE_5, edge_points
 from .util import ordered_sum
 
 __all__ = [
-    "IndicatorReport", "OscReport", "indicators_stress", "indicators_full",
-    "oscillations", "data_osc_elem",
+    "IndicatorReport", "indicators_stress", "indicators_full", "data_osc_elem",
 ]
 
 @dataclass(frozen=True)
 class IndicatorReport:
-    """Per-element squared indicator terms plus their ordered global sum."""
+    """Per-element squared indicator and oscillation terms plus their
+    ordered global sums; the oscillation terms have the same weights and
+    counting as the indicator terms."""
     mesh: object
     data2: np.ndarray
     jump2: np.ndarray
+    jump_osc2: np.ndarray
+    data_osc2: np.ndarray
     disp2: np.ndarray = None      # full estimator only
     eta2_elem: np.ndarray = dc_field(init=False)
     eta2: float = dc_field(init=False)
+    osc2: float = dc_field(init=False)          # jump + data
+    osc_f2: float = dc_field(init=False)        # data only: osc(f, T)^2
 
     def __post_init__(self):
         total = self.data2 + self.jump2
@@ -82,6 +89,9 @@ class IndicatorReport:
             total = total + self.disp2
         object.__setattr__(self, "eta2_elem", total)
         object.__setattr__(self, "eta2", ordered_sum(total))
+        object.__setattr__(self, "osc2", ordered_sum(
+            self.jump_osc2 + self.data_osc2))
+        object.__setattr__(self, "osc_f2", ordered_sum(self.data_osc2))
 
     @property
     def eta(self):
@@ -91,20 +101,6 @@ class IndicatorReport:
         """Sum of eta2 over the given elements, ascending-id order."""
         ids = np.sort(np.asarray(ids, dtype=np.int64))
         return ordered_sum(self.eta2_elem[ids])
-
-
-@dataclass(frozen=True)
-class OscReport:
-    """Oscillation terms; same weights and counting as the estimator terms."""
-    jump_osc2: np.ndarray
-    data_osc2: np.ndarray
-    osc2: float = dc_field(init=False)          # jump + data
-    osc_f2: float = dc_field(init=False)        # data only: osc(f, T)^2
-
-    def __post_init__(self):
-        object.__setattr__(self, "osc2", ordered_sum(
-            self.jump_osc2 + self.data_osc2))
-        object.__setattr__(self, "osc_f2", ordered_sum(self.data_osc2))
 
 
 def _check_mesh(mesh, field):
@@ -124,34 +120,52 @@ _P2_EDGE_RESIDUAL = _projection_residual(
     np.vander(EDGE_5[0], 3, increasing=True), EDGE_5[1])
 
 
-def _edge_jumps(mesh, field, problem, rule):
-    """Jump of A^-1 q . tau at edge points, (ne, q); traces 0 if no field."""
+def _edge_jumps(mesh, field, problem):
+    """Jump of A^-1 q . tau at the EDGE_3 points of every edge, (ne, 3)."""
     a = mesh.vertices[mesh.edges[:, 0]]
     b = mesh.vertices[mesh.edges[:, 1]]
-    epts = edge_points(rule, a, b)                       # (ne, q, 2)
+    epts = edge_points(EDGE_3, a, b)                     # (ne, q, 2)
     tau = mesh.edge_tangents
     ne, q = epts.shape[:2]
+    # every element side of every edge in one batch, each side reading 1/a
+    # by its own element's root; a missing side keeps a zero trace.  The
+    # batch sets the estimator's peak memory, so the points and the flux
+    # values are dropped as soon as they are used
     traces = np.zeros((ne, 2, q))
-    if field is not None:
-        # every element side of every edge in one batch, each side reading
-        # 1/a by its own element's root; a missing side keeps a zero trace.
-        # The batch sets the estimator's peak memory, so the points and the
-        # flux values are dropped as soon as they are used
-        e, side = np.nonzero(mesh.edge_tris >= 0)
-        t = mesh.edge_tris[e, side]
-        av = root_a_inv(problem, mesh)[t][:, None, None] \
-            * field.eval(t, epts[e])
-        traces[e, side] = np.einsum("eqd,ed->eq", av, tau[e])
+    e, side = np.nonzero(mesh.edge_tris >= 0)
+    t = mesh.edge_tris[e, side]
+    av = root_a_inv(problem, mesh)[t][:, None, None] * field.eval(t, epts[e])
+    traces[e, side] = np.einsum("eqd,ed->eq", av, tau[e])
 
     # side 0 minus side 1 inside; the one-sided trace on the boundary
     bnd = mesh.boundary_edge
     jumps = traces[:, 0] - traces[:, 1]
     jumps[bnd] = traces[bnd].sum(axis=1)
     if problem.g_tan is not None:
-        taub = np.repeat(tau[bnd], q, axis=0)
-        gt = np.asarray(problem.g_tan(epts[bnd].reshape(-1, 2), taub))
-        jumps[bnd] -= gt.reshape(-1, q)
+        jumps[bnd] -= _g_tan(mesh, problem, EDGE_3)
     return jumps
+
+
+def _g_tan(mesh, problem, rule):
+    """g_tan at the ``rule`` points of the boundary edges, (nb, q)."""
+    bnd = mesh.boundary_edge
+    epts = edge_points(rule, mesh.vertices[mesh.edges[bnd, 0]],
+                       mesh.vertices[mesh.edges[bnd, 1]])
+    q = epts.shape[1]
+    taub = np.repeat(mesh.edge_tangents[bnd], q, axis=0)
+    return np.asarray(problem.g_tan(epts.reshape(-1, 2), taub)).reshape(-1, q)
+
+
+def _jump_osc(mesh, problem):
+    """Per-element jump oscillation: h_T times the squared residuals, over
+    T's edges, of the jumps under the projection onto quadratics.
+
+    A^-1 q is affine, so its jumps leave no residual: only the -g_tan of
+    the boundary edges is sampled, at their EDGE_5 points."""
+    jumps = np.zeros((mesh.n_edges, EDGE_5[0].size))
+    if problem.g_tan is not None:
+        jumps[mesh.boundary_edge] -= _g_tan(mesh, problem, EDGE_5)
+    return _edge_term(mesh, jumps @ _P2_EDGE_RESIDUAL.T, EDGE_5)
 
 
 def _edge_term(mesh, jumps, rule):
@@ -175,13 +189,16 @@ def data_osc_elem(f, mesh):
 
 
 def indicators_stress(mesh, field, problem):
-    """Stress estimator, the default input of the marking step."""
+    """Stress estimator, the default input of the marking step, with the
+    oscillation terms of the same mesh."""
     _check_mesh(mesh, field)
-    jumps = _edge_jumps(mesh, field, problem, EDGE_3)
+    data2 = data_osc_elem(problem.f, mesh)
     return IndicatorReport(
         mesh=mesh,
-        data2=data_osc_elem(problem.f, mesh),
-        jump2=_edge_term(mesh, jumps, EDGE_3))
+        data2=data2,
+        jump2=_edge_term(mesh, _edge_jumps(mesh, field, problem), EDGE_3),
+        jump_osc2=_jump_osc(mesh, problem),
+        data_osc2=data2)
 
 
 def indicators_full(mesh, field, problem, kappa=1.0):
@@ -189,32 +206,17 @@ def indicators_full(mesh, field, problem, kappa=1.0):
 
     The data residual is ``f + div q`` (not the projected difference), the
     displacement residual compares ``A^-1 q`` against the elementwise
-    gradient of u_h, which vanishes for the lowest-order pair.
+    gradient of u_h, which vanishes for the lowest-order pair.  The jump
+    and oscillation terms are those of the stress estimator.
     """
     if not 0.0 <= kappa <= 1.0:
         raise ValueError("kappa must lie in [0, 1]")
-    _check_mesh(mesh, field)
+    stress = indicators_stress(mesh, field, problem)
     pts = mesh.quad_points
     aq = root_a_inv(problem, mesh)[:, None, None] \
         * field.eval(np.arange(mesh.n_elements), pts)
     resid = eval_f_on_elements(problem.f, mesh, pts) + field.div[:, None]
-    jumps = _edge_jumps(mesh, field, problem, EDGE_3)
-    return IndicatorReport(
-        mesh=mesh,
+    return replace(
+        stress,
         data2=((resid ** 2) @ TRI_6[1]) * mesh.areas ** kappa * mesh.areas,
-        jump2=_edge_term(mesh, jumps, EDGE_3),
         disp2=(np.einsum("tqd,tqd->tq", aq, aq) @ TRI_6[1]) * mesh.areas ** 2)
-
-
-def oscillations(mesh, field, problem):
-    """Oscillation terms of the stress estimator, elementwise.
-
-    ``osc2`` collects the jump and data parts; ``osc_f2`` is the pure data
-    oscillation ||h (f - f_h)||^2.  A^-1 q is affine, so its jumps leave
-    no residual and only the -g_tan of boundary edges is projected.
-    """
-    _check_mesh(mesh, field)
-    jumps = _edge_jumps(mesh, None, problem, EDGE_5) @ _P2_EDGE_RESIDUAL.T
-    return OscReport(
-        jump_osc2=_edge_term(mesh, jumps, EDGE_5),
-        data_osc2=data_osc_elem(problem.f, mesh))

@@ -40,9 +40,9 @@ from .mesh import ancestor_map, dissection_order
 from .quadrature import TRI_6, EDGE_3, edge_points
 
 __all__ = [
-    "AssemblyError", "SolverError", "DofMap", "SaddleSystem", "MixedSolution",
-    "FluxField", "PwConstData", "build_dofmap", "root_a_inv",
-    "project_f", "assemble", "solve",
+    "AssemblyError", "SolverError", "SaddleSystem", "MixedSolution",
+    "FluxField", "PwConstData", "root_a_inv", "project_f", "assemble",
+    "solve",
 ]
 
 RESIDUAL_TOL = 1e-10
@@ -54,20 +54,6 @@ class AssemblyError(ValueError):
 
 class SolverError(RuntimeError):
     """Raised when the linear solver misses its residual contract."""
-
-
-class DofMap:
-    """Degrees of freedom of the mixed pair on one mesh.
-
-    Flux dof ids are edge ids and displacement dof ids are element ids.
-    """
-
-    def __init__(self, mesh):
-        self.mesh = mesh
-
-
-def build_dofmap(mesh):
-    return DofMap(mesh)
 
 
 class PwConstData:
@@ -201,10 +187,8 @@ class SaddleSystem:
         return np.concatenate([rows, q.sum(axis=1)])
 
 
-def assemble(mesh, dofmap, problem, f_elem):
+def assemble(mesh, problem, f_elem):
     """Build the saddle-point system for the given cellwise source means."""
-    if dofmap.mesh is not mesh:
-        raise AssemblyError("dofmap was built for a different mesh")
     f_elem = np.asarray(f_elem, dtype=np.float64)
     if f_elem.shape != (mesh.n_elements,):
         raise AssemblyError("f_elem must hold one value per element")

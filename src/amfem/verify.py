@@ -18,7 +18,7 @@ from itertools import combinations
 import numpy as np
 
 from .adapt import amfem, dorfler_mark, solve_on
-from .estimate import indicators_stress, oscillations
+from .estimate import indicators_stress
 from .mesh import (INITIAL_DOMAINS, ancestor_map, create_initial, overlay,
                    refine, uniform_refine)
 from .problems import builtin, flux_dist2
@@ -202,8 +202,8 @@ def _suite_pythagoras(seed):
     rhs = (flux_dist2(problem, ref, s_ref, pm)
            + flux_dist2(problem, ref, pm, pc))
     defect = abs(lhs - rhs) / lhs
-    osc = oscillations(coarse, s_coarse, problem)
-    return [_result("pythagoras", "zero_data_oscillation", osc.osc_f2, 1e-28),
+    osc_f2 = indicators_stress(coarse, s_coarse, problem).osc_f2
+    return [_result("pythagoras", "zero_data_oscillation", osc_f2, 1e-28),
             _result("pythagoras", "orthogonality_defect", defect, 1e-8)]
 
 
@@ -245,10 +245,9 @@ def _suite_oscillation(seed):
         for _ in range(2):
             sol = solve_on(problem, mesh)
             rep = indicators_stress(mesh, sol, problem)
-            osc = oscillations(mesh, sol, problem)
             scale = float(np.max(rep.eta2_elem))
-            for o, e in ((osc.data_osc2, rep.data2),
-                         (osc.jump_osc2, rep.jump2)):
+            for o, e in ((rep.data_osc2, rep.data2),
+                         (rep.jump_osc2, rep.jump2)):
                 worst = max(worst, float(np.max(o - e)) / scale)
             mesh = refine(mesh, dorfler_mark(rep.eta2_elem, 0.5).ids).mesh
     return [_result("oscillation", "termwise_dominance", worst, 1e-13,
@@ -269,7 +268,7 @@ def _suite_upper_bound(seed):
         for a, bb in zip(tr.states[:-1], tr.states[1:]):
             pc = a.sol.restrict_to(bb.mesh)
             num = flux_dist2(problem, bb.mesh, bb.sol, pc)
-            den = a.report.subset_sum(a.refined) + a.osc.osc_f2
+            den = a.report.subset_sum(a.refined) + a.report.osc_f2
             if den > 0.0:
                 worst = max(worst, num / den)
         res.append(_result("upper_bound", "distance_vs_refined_%s" % pname,

@@ -242,6 +242,23 @@ def test_amfem_full_estimator_runs():
     assert trace.rows[-1]["eta2"] > 0.0
 
 
+@pytest.mark.parametrize("estimator, passes", [("stress", 2), ("full", 3)])
+def test_source_is_sampled_once_per_pass(estimator, passes):
+    # each iteration samples f at the 6 quadrature points of every element
+    # for project_f and the one estimator pass, whose report carries the
+    # data oscillation; the full estimator's residual samples them once more
+    prob = builtin("checkerboard")
+    points = []
+
+    def f(x, roots):
+        points.append(len(x))
+        return prob.f(x, roots)
+
+    trace = amfem(replace(prob, f=f), theta=0.5, max_dofs=3000,
+                  estimator=estimator)
+    assert sum(points) == passes * 6 * sum(r["n_elem"] for r in trace.rows)
+
+
 # ---------------------------------------------------------------------------
 # trace plumbing
 

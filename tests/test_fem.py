@@ -10,8 +10,8 @@ import pytest
 import amfem.quadrature as quad
 from amfem.adapt import solve_on
 from amfem.fem import (AssemblyError, FluxField, MixedSolution, PwConstData,
-                       SaddleSystem, SolverError, assemble, build_dofmap,
-                       project_f, solve)
+                       SaddleSystem, SolverError, assemble, project_f,
+                       solve)
 from amfem.mesh import (Mesh, ancestor_map, create_initial, dissection_order,
                         refine, uniform_refine)
 from amfem.problems import ProblemSpec, builtin, exact_errors, piecewise
@@ -119,8 +119,7 @@ def test_divergence_matrix_entries():
 def test_mass_matrix_spd():
     # every local mass matrix is symmetric positive definite
     m = uniform_refine(create_initial("unit_square"), 2)
-    dm = build_dofmap(m)
-    sys = assemble(m, dm, const_problem(),
+    sys = assemble(m, const_problem(),
                    project_f(lambda x, roots: np.zeros(
                        np.atleast_2d(x).shape[0]), m))
     loc = sys.loc
@@ -145,9 +144,8 @@ def test_div_exactness_and_flux_balance():
 def test_residual_contract():
     m = uniform_refine(create_initial("lshape"), 2)
     p = builtin("lshape_singular")
-    dm = build_dofmap(m)
     fe = project_f(p.f, m)
-    sys = assemble(m, dm, p, fe)
+    sys = assemble(m, p, fe)
     sol = solve(sys)
     x = np.concatenate([sol.p, sol.u])
     r = dense_saddle_matrix(m, p) @ x - sys.rhs
@@ -197,7 +195,7 @@ SOLVE_CASES = {
 @pytest.mark.parametrize("case", sorted(SOLVE_CASES))
 def test_solve_matches_dense_solve(case):
     p, m = SOLVE_CASES[case]()
-    sys = assemble(m, build_dofmap(m), p, project_f(p.f, m))
+    sys = assemble(m, p, project_f(p.f, m))
     a = solve(sys)
     x = np.linalg.solve(dense_saddle_matrix(m, p), sys.rhs)
     p_ref, u_ref = x[:m.n_edges], x[m.n_edges:]
@@ -352,7 +350,7 @@ def dense_saddle_matrix(mesh, problem):
 def test_mass_matrix_matches_einsum_formula(case):
     # the flux block of the element-wise operator, column by column
     p, m = SOLVE_CASES[case]()
-    sys = assemble(m, build_dofmap(m), p, project_f(p.f, m))
+    sys = assemble(m, p, project_f(p.f, m))
     ne = m.n_edges
     M = np.stack([sys.apply(x)[:ne]
                   for x in np.eye(ne + m.n_elements)[:ne]], axis=1)
@@ -363,7 +361,7 @@ def test_mass_matrix_matches_einsum_formula(case):
 @pytest.mark.parametrize("case", sorted(SOLVE_CASES))
 def test_apply_matches_dense_saddle_matrix(case):
     p, m = SOLVE_CASES[case]()
-    sys = assemble(m, build_dofmap(m), p, project_f(p.f, m))
+    sys = assemble(m, p, project_f(p.f, m))
     x = np.random.default_rng(7).standard_normal(m.n_edges + m.n_elements)
     ref = dense_saddle_matrix(m, p) @ x
     assert np.abs(sys.apply(x) - ref).max() <= 1e-13 * np.abs(ref).max()
@@ -373,7 +371,7 @@ def test_apply_matches_dense_saddle_matrix(case):
 def test_local_inverses_match_linalg_inv(scale):
     import amfem.fem as fem
     p, m = SOLVE_CASES["checkerboard_graded"]()
-    loc = assemble(m, build_dofmap(m), p, project_f(p.f, m)).loc * scale
+    loc = assemble(m, p, project_f(p.f, m)).loc * scale
     ref = np.linalg.inv(loc)
     got = fem._inv_sym3(loc)
     assert np.all(np.abs(got - ref) <= 1e-13 * np.abs(ref).max(axis=(1, 2),
@@ -393,19 +391,12 @@ def test_failed_factorization_is_a_solver_error(monkeypatch):
 
 
 @pytest.mark.parametrize("case, match", [
-    ("foreign_dofmap", "^dofmap was built for a different mesh$"),
     ("short_f_elem", "^f_elem must hold one value per element$"),
 ])
 def test_assemble_refuses_unusable_input(case, match):
     m = uniform_refine(create_initial("unit_square"))
-    prob, dofmap = const_problem(), build_dofmap(m)
-    f_elem = np.ones(m.n_elements)
-    if case == "foreign_dofmap":
-        dofmap = build_dofmap(create_initial("unit_square"))
-    else:
-        f_elem = f_elem[1:]
     with pytest.raises(AssemblyError, match=match):
-        assemble(m, dofmap, prob, f_elem)
+        assemble(m, const_problem(), np.ones(m.n_elements)[1:])
 
 
 @pytest.mark.filterwarnings("error")
@@ -419,7 +410,7 @@ def test_assemble_refuses_unusable_scalar_coefficient(bad):
     m = uniform_refine(create_initial("checkerboard"))
     with pytest.raises(AssemblyError, match=(
             "^a = .* on root element 3: a and 1/a must be finite, positive$")):
-        assemble(m, build_dofmap(m), replace(prob, a=a), np.ones(m.n_elements))
+        assemble(m, replace(prob, a=a), np.ones(m.n_elements))
 
 
 @pytest.mark.filterwarnings("error")
@@ -429,7 +420,7 @@ def test_assemble_refuses_a_problem_without_a():
     with pytest.raises(AssemblyError, match=(
             "^a = nan on root element 0: a and 1/a must be finite, "
             "positive$")):
-        assemble(m, build_dofmap(m), replace(const_problem(), a=None),
+        assemble(m, replace(const_problem(), a=None),
                  np.ones(m.n_elements))
 
 
@@ -439,7 +430,7 @@ def test_assemble_refuses_scalar_coefficient_of_wrong_length():
     with pytest.raises(AssemblyError, match=(
             "^a must hold one value per root element \\(8\\), "
             "got shape \\(7,\\)$")):
-        assemble(m, build_dofmap(m), prob, np.ones(m.n_elements))
+        assemble(m, prob, np.ones(m.n_elements))
 
 
 # ---------------------------------------------------------------------------

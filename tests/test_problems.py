@@ -9,9 +9,9 @@ import amfem.quadrature as quad
 import sampled_path as sampled
 from amfem.adapt import data_osc_elem, make_reference, solve_on
 from amfem.estimate import (_P2_EDGE_RESIDUAL, _edge_term, indicators_full,
-                            indicators_stress, oscillations)
-from amfem.fem import (AssemblyError, PwConstData, assemble, build_dofmap,
-                       project_f, root_a_inv)
+                            indicators_stress)
+from amfem.fem import (AssemblyError, PwConstData, assemble, project_f,
+                       root_a_inv)
 from amfem.mesh import Mesh, create_initial, refine, uniform_refine
 from amfem.problems import (BUILTIN_PROBLEMS, ProblemSpec, builtin,
                             exact_errors, flux_dist2, piecewise)
@@ -140,11 +140,9 @@ def test_scalar_coefficients_equal_the_sampled_path(name):
     A_inv = sampled.a_inv_fn(prob.a)
     mesh = _graded(prob.domain)
     sol = solve_on(prob, mesh)
-    loc = assemble(mesh, build_dofmap(mesh), prob,
-                   project_f(prob.f, mesh)).loc
+    loc = assemble(mesh, prob, project_f(prob.f, mesh)).loc
     stress = indicators_stress(mesh, sol, prob)
     full = indicators_full(mesh, sol, prob, kappa=0.5)
-    osc = oscillations(mesh, sol, prob)
     ref = None if prob.has_exact else make_reference(prob, mesh)
     err = exact_errors(sol, prob, ref)
 
@@ -180,11 +178,11 @@ def test_scalar_coefficients_equal_the_sampled_path(name):
     assert np.all(disp_osc2 <= 1e-15 * disp2)
     assert np.all(inner_jump_osc2 <= 1e-15 * jump2)
     if prob.g_tan is None:
-        assert not osc.jump_osc2.any()
+        assert not stress.jump_osc2.any()
     data_osc2 = data_osc_elem(prob.f, mesh)
-    assert abs(osc.osc2 - ordered_sum(curl_osc2 + jump_osc2 + data_osc2)) \
+    assert abs(stress.osc2 - ordered_sum(curl_osc2 + jump_osc2 + data_osc2)) \
         <= 1e-15 * stress.eta2
-    assert np.array_equal(osc.data_osc2, data_osc2)
+    assert np.array_equal(stress.data_osc2, data_osc2)
 
 
 # ---------------------------------------------------------------------------
@@ -305,8 +303,8 @@ def test_error_triple_identities():
     assert tr.E2 == pytest.approx(tr.flux2 + tr.div2, rel=1e-14)
     assert not tr.surrogate
     # with div p_h = -f_h exact, the div error is the data oscillation
-    osc = oscillations(mesh, sol, prob)
-    assert tr.div2 == pytest.approx(osc.osc_f2, rel=1e-12)
+    osc_f2 = indicators_stress(mesh, sol, prob).osc_f2
+    assert tr.div2 == pytest.approx(osc_f2, rel=1e-12)
 
 
 def test_exact_errors_decay():
