@@ -19,11 +19,11 @@ The saddle-point system
     [ M   B^T ] [ p ]   [ rhs_flux ]
     [ B    0  ] [ u ] = [ rhs_div  ]
 
-is solved by hybridization: with the normal continuity of the fluxes
-broken, each element's 3 outward fluxes and its displacement are
-eliminated through the inverse of its 3x3 local mass matrix, leaving one
-SPD system for the displacement traces on the interior edges.  The traces
-are numbered in the nested-dissection order that
+is solved by hybridization: with the normal continuity of the fluxes broken,
+each element's 3 outward fluxes and its displacement are eliminated in
+closed form (Arnold-Brezzi 1985), leaving a_T times the Crouzeix-Raviart
+stiffness matrix: one SPD system for the displacement traces on the interior
+edges.  The traces are numbered in the nested-dissection order that
 :func:`amfem.mesh.dissection_order` reads off the bisection genealogy
 (George 1973), and SuperLU factorizes the system in that order.  The local
 matrices and the edge signs are all that is kept of M and B: the
@@ -165,12 +165,14 @@ class SaddleSystem:
 
     ``loc`` holds the local mass matrices (nt, 3, 3) of ``mesh`` in the
     outward basis (x - P_i) / (2|T|); with the edge signs they are the
-    whole operator.  ``rhs`` stacks the flux and divergence right-hand
-    sides, the latter built from the cellwise source means ``f_elem``.
+    whole operator, which the solve eliminates by ``a_inv`` = 1/a per
+    element.  ``rhs`` stacks the flux and divergence right-hand sides,
+    the latter built from the cellwise source means ``f_elem``.
     """
 
-    def __init__(self, loc, rhs, mesh, f_elem):
+    def __init__(self, loc, a_inv, rhs, mesh, f_elem):
         self.loc = loc
+        self.a_inv = a_inv
         self.rhs = rhs
         self.mesh = mesh
         self.f_elem = f_elem
@@ -200,8 +202,9 @@ def assemble(mesh, problem, f_elem):
     # outward basis at point x: (x - P_i) / (2|T|); the local mass matrix
     # is |T| sum_q w_q d_qi . d_qj / (a_T (2|T|)^2) with d_qi = x_q - P_i
     nt, nq, ne = mesh.n_elements, w.size, mesh.n_edges
+    a_inv = root_a_inv(problem, mesh)
     d = pts[:, :, None, :] - verts[:, None, :, :]         # (nt, q, 3, 2)
-    ad = d * (root_a_inv(problem, mesh)[:, None] * w)[:, :, None, None]
+    ad = d * (a_inv[:, None] * w)[:, :, None, None]
     loc = np.matmul(ad.transpose(0, 2, 1, 3).reshape(nt, 3, 2 * nq),
                     d.transpose(0, 1, 3, 2).reshape(nt, 2 * nq, 3))
     loc *= (0.25 / mesh.areas)[:, None, None]
@@ -221,7 +224,7 @@ def assemble(mesh, problem, f_elem):
             rhs[bed] = sign * (gv @ ew)
 
     rhs[ne:] = -mesh.areas * f_elem
-    return SaddleSystem(loc, rhs, mesh, f_elem)
+    return SaddleSystem(loc, a_inv, rhs, mesh, f_elem)
 
 
 class MixedSolution(FluxField):
@@ -260,28 +263,29 @@ class MixedSolution(FluxField):
                      / (scale if scale > 0.0 else 1.0))
 
 
-def _inv_sym3(a):
-    """Inverses of the symmetric 3x3 matrices ``a`` (k, 3, 3) from their
-    adjugates.  Each matrix is scaled by its trace first, so neither the
-    adjugate nor the determinant over- or underflows."""
-    t = np.trace(a, axis1=1, axis2=2)
-    a = a / t[:, None, None]
-    adj = np.stack([np.cross(a[:, 1], a[:, 2]), np.cross(a[:, 2], a[:, 0]),
-                    np.cross(a[:, 0], a[:, 1])], axis=1)
-    det = (a[:, 0] * adj[:, 0]).sum(axis=1)
-    return adj / (det * t)[:, None, None]
+def _local_elimination(mesh, a_inv):
+    """``(S, w)`` per element, so that ``loc q + u e = c``, ``e.q = r``
+    give ``q = S c + r/3`` and ``u = mean(c) - w r``.  With the edges
+    E_i = P_{i+2} - P_{i+1}, loc = (G + e e^T sum|E_i|^2/36) / (4 a_T |T|),
+    G the Gram matrix of the vertices less the centroid (G e = 0); hence
+    S = a_T/|T| E E^T, a_T times the Crouzeix-Raviart stiffness matrix
+    (Arnold-Brezzi 1985), and w = sum|E_i|^2 / (144 a_T |T|)."""
+    E = np.diff(mesh.vertices[mesh.triangles[:, [1, 2, 0, 1]]], axis=1)
+    EE = np.einsum("tid,tjd->tij", E, E)
+    return (EE / (a_inv * mesh.areas)[:, None, None],
+            np.trace(EE, axis1=1, axis2=2) * a_inv / (144.0 * mesh.areas))
 
 
 def solve(system):
     """Solve the saddle-point system by hybridization.
 
     On element T, with q its outward fluxes and e = (1, 1, 1), the local
-    equations ``loc q + u e = c`` and ``e.q = r`` give ``q = S c + z r``
-    and ``u = (W e.c - r) / s``, where ``W = loc^-1``, ``s = e.W e``,
-    ``z = W e / s`` and ``S = W - (W e) z^T``.  Here r is T's divergence
-    right-hand side and c the trace of u on T's edges plus the flux
-    right-hand sides T carries: each edge's is carried by its owner slot
-    in ``mesh.edge_slots``, side 0 where that side exists, else side 1.
+    equations ``loc q + u e = c`` and ``e.q = r`` give ``q = S c + r/3`` and
+    ``u = mean(c) - w r`` in closed form (Arnold-Brezzi 1985;
+    :func:`_local_elimination`), and no matrix is inverted.  Here r is T's
+    divergence right-hand side and c the trace of u on T's edges plus the
+    flux right-hand sides T carries: each edge's is carried by its owner
+    slot in ``mesh.edge_slots``, side 0 where that side exists, else side 1.
     Flux continuity across the interior edges is the SPD system for their
     traces, numbered by :func:`amfem.mesh.dissection_order` and factorized
     once in that order (``permc_spec="NATURAL"``): each bisection region's
@@ -295,16 +299,11 @@ def solve(system):
     """
     mesh = system.mesh
     nt, ne = mesh.n_elements, mesh.n_edges
-    # overflow near the ends of the float range fails the residual contract
-    with np.errstate(over="ignore", invalid="ignore"):
-        W = _inv_sym3(system.loc)
-        We = W.sum(axis=2)
-        s = We.sum(axis=1)
-        z = We / s[:, None]
-        S = W - We[:, :, None] * z[:, None, :]
+    # over- and underflow at the ends of the float range fail the contract
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        S, w = _local_elimination(mesh, system.a_inv)
 
-    # trace unknowns: one per interior edge, numbered in nested-dissection
-    # order, by element slot
+    # trace unknowns: one per interior edge, in nested-dissection order
     n_tr = int(np.count_nonzero(~mesh.boundary_edge))
     slot_id = dissection_order(mesh)[mesh.tri_edges]
     inner = slot_id >= 0
@@ -332,12 +331,12 @@ def solve(system):
         r = rhs[ne:]
         # fluxes with zero traces; their jumps across interior edges
         # are cancelled by the traces
-        q = np.einsum("tij,tj->ti", S, c) + z * r[:, None]
+        q = np.einsum("tij,tj->ti", S, c) + r[:, None] / 3.0
         c[inner] += solve_traces(
             -np.bincount(slot_id[inner], q[inner], minlength=n_tr)
         )[slot_id[inner]]
-        q = np.einsum("tij,tj->ti", S, c) + z * r[:, None]
-        u = ((We * c).sum(axis=1) - r) / s
+        q = np.einsum("tij,tj->ti", S, c) + r[:, None] / 3.0
+        u = c.mean(axis=1) - w * r
         return np.concatenate([sign * q.ravel()[owner], u])
 
     rhs = system.rhs

@@ -396,9 +396,9 @@ def test_two_step_on_mesh_attached_source():
     mesh0 = create_initial(prob.domain)
     pw = replace(prob, f=PwConstData(mesh0, project_f(prob.f, mesh0)))
     trace = two_step(pw, eps=0.05, max_dofs=3000)
-    assert len(trace.rows) == 35
+    assert len(trace.rows) == 34
     assert trace.meta["approx_rows"] == 1
-    assert trace.rows[-1]["eta2"] == 0.04136106153245866
+    assert trace.rows[-1]["eta2"] == 0.04162607792464572
     assert trace.stop == "budget"
 
 

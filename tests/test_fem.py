@@ -368,14 +368,36 @@ def test_apply_matches_dense_saddle_matrix(case):
 
 
 @pytest.mark.parametrize("scale", [1e-150, 1.0, 1e150])
-def test_local_inverses_match_linalg_inv(scale):
+def test_local_elimination_matches_linalg_inv(scale):
+    # the closed form against the elimination through W = loc^-1:
+    # q = S c + z r and u = (W e.c - r) / s, with s = e.W e, z = W e / s
+    # and S = W - (W e) z^T
     import amfem.fem as fem
     p, m = SOLVE_CASES["checkerboard_graded"]()
-    loc = assemble(m, p, project_f(p.f, m)).loc * scale
-    ref = np.linalg.inv(loc)
-    got = fem._inv_sym3(loc)
-    assert np.all(np.abs(got - ref) <= 1e-13 * np.abs(ref).max(axis=(1, 2),
-                                                            keepdims=True))
+    p = replace(p, a=np.asarray(p.a) * scale)
+    sys = assemble(m, p, project_f(p.f, m))
+    W = np.linalg.inv(sys.loc)
+    We = W.sum(axis=2)
+    s = We.sum(axis=1)
+    ref_S = W - We[:, :, None] * We[:, None, :] / s[:, None, None]
+    S, w = fem._local_elimination(m, sys.a_inv)
+    assert np.all(np.abs(S - ref_S) <= 1e-13 * np.abs(ref_S).max(
+        axis=(1, 2), keepdims=True))
+    assert np.all(np.abs(We / s[:, None] - 1.0 / 3.0) <= 1e-13 / 3.0)
+    assert np.all(np.abs(w - 1.0 / s) <= 1e-13 / s)
+
+
+@pytest.mark.parametrize("eps", [1e-6, 1e-8, 1e-12])
+def test_thin_elements_keep_the_fem_contract(eps):
+    # a strip of aspect eps: the local matrices are nearly singular, but
+    # their elimination is in closed form and stays exact
+    m = uniform_refine(Mesh(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, eps],
+                                      [0.0, eps]]),
+                            np.array([[1, 2, 0], [3, 0, 2]])), 4)
+    p = piecewise("strip", "unit_square", np.ones(2), {(0, 0): np.ones(2)})
+    sol = solve_on(p, m)
+    assert sol.div_defect <= 1e-9 * (1.0 + np.abs(sol.f_elem).max())
+    assert sol.balance_defect <= 1e-12
 
 
 def test_failed_factorization_is_a_solver_error(monkeypatch):

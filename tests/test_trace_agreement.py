@@ -35,16 +35,16 @@ CONFIGS = {
 RUNS = {
     "lshape_adaptive": (
         ("--problem", "lshape_singular", "--theta", "0.5"),
-        "ea8f581449ca5839bcfdaeac95b6097c6501d716f2569bea10e039a20461a3f8",
+        "ef426d64ef59a7e6613ca2e131ef497d765ca6d5a9c1eee18846e3711c8aa64f",
         "a3db1bc165c91240a81622651b528851545efd8a867cb593a9074b25ca3db9aa",
-        0.010970500058458291, 6.515197966395719,
+        0.01097050005845832, 6.515197966395718,
         1.8362441191841943e-12, 2.8203831222800244e-05),
     "checkerboard_adaptive": (
         ("--problem", "checkerboard", "--theta", "0.5"),
-        "90c40ad9b8b87612572d4d7f9690fa00c01528c2f162d610db3fc78ad76f2ae8",
-        "ca1e940fd516fdf4a50fda0dd4092433c2bfab0bb702d56c193836df95af354c",
-        0.00018128721349321727, 0.10410321896876679,
-        4.3263334898045e-33, 8.201408378143832e-31),
+        "f40f52e6a1ef608938e33ff56c8b2c4089ce835dff85c2ce56a860c3192fdfd0",
+        "04760bddbb92a22b864d6ad7af252de7c8a11e6c003973be91b94c59b35793fd",
+        0.0001812872134932172, 0.09426080262700114,
+        4.3263334898045e-33, 7.10940609967627e-31),
     "sine_uniform": (
         ("--problem", "square_sine", "--mode", "uniform", "--theta", "0.5"),
         "2aaf19ee80f9d798fca09d46ef194641474117d70c38d1eb64a0b78bb63c9e12",
@@ -60,16 +60,16 @@ RUNS = {
         0.0, 41.76294042651664),
     "sine_full_kappa": (
         ("--problem", "square_sine", "--estimator", "full", "--kappa", "0.5"),
-        "e99f0664a668e1420e289122f5080bda9d082a352ea1d14aa90a858186035dc1",
-        "1bff534ef98a7752765c97dc52fb3c69ce540a79ded01320e34ffc1bb8927f7a",
-        0.06982464117718093, 183.59266217942854,
-        0.00016088340264049377, 58.10716585714929),
+        "a18d0e24a02107325fdc06e9631b38a6e2bf70c47a789cb3c5977870a746add5",
+        "3406c057181fc283b4ca4d7de1d7c248c2b25d20f3d855ded55f5d9262fbe2d6",
+        0.06982464114286632, 172.90597932815265,
+        0.00016088340264049374, 55.637273212946695),
     "square_pwconst": (
         ("--problem", "square_pwconst"),
-        "e70ab4c4a93e86ac83544c71ad3133231ee479527e6d9e83d70b2528ca78b8af",
-        "b1b4d78232fa495e8044a328babeab128f17042b81b53ddb5cc0c1f69eceb3c1",
-        0.0008605687908041707, 2.1095793729389385,
-        6.624586576135312e-34, 2.089875680114886e-30),
+        "914e5920ab200d789e736ec6114296f968b09b8b25cbb41482add8fcea509746",
+        "95203634267068de4423a5449b65dd2c6905cf9326333791b4699bd90fe6f2fb",
+        0.000860568790804176, 1.994407459435533,
+        6.624586576135312e-34, 1.9806754522681296e-30),
     "custom_lshape": (
         (),
         "4a9bb12cff7635ce0a7fea1b8b592badf94405cd4b97819b4efb23d3d307cde0",
