@@ -224,6 +224,8 @@ def amfem(problem, eps=0.0, theta=0.5, b=1, max_dofs=100_000, mode="adaptive",
     trace = AdaptTrace(meta)
 
     for k in range(MAX_ITER + 1):
+        # drop the previous iteration before this one allocates
+        state = sol = report = et = ms = rr = None
         t0 = time.perf_counter()
         sol = solve_on(problem, mesh)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -243,7 +245,6 @@ def amfem(problem, eps=0.0, theta=0.5, b=1, max_dofs=100_000, mode="adaptive",
                        flux_err2=et.flux2)
         state = IterationState(mesh=mesh, sol=sol, report=report)
 
-        rr = None
         if eps > 0.0 and report.eta < eps:
             trace.stop = "eps"
         elif mesh.n_edges >= max_dofs:

@@ -25,11 +25,12 @@ closed form (Arnold-Brezzi 1985), leaving a_T times the Crouzeix-Raviart
 stiffness matrix: one SPD system for the displacement traces on the interior
 edges.  The traces are numbered in the nested-dissection order that
 :func:`amfem.mesh.dissection_order` reads off the bisection genealogy
-(George 1973), and SuperLU factorizes the system in that order.  The local
-matrices and the edge signs are all that is kept of M and B: the
-residual of the refinement round applies them element by element.  The
-solution is itself the RT0 flux field (elementwise affine) that the
-estimator reads.
+(George 1973), and SuperLU factorizes the system in that order.  No matrix
+is kept: with the edges E_i = P_{i+2} - P_{i+1} of T, its local mass matrix
+in the outward basis is loc = kappa (Pc Pc^T + sigma e e^T), Pc_i = (E_{i+1}
+- E_{i+2})/3, kappa = 1/(4 a_T |T|), sigma = sum|E_i|^2/36, which the
+refinement round's residual applies element by element.  The solution is
+itself the RT0 flux field (elementwise affine) that the estimator reads.
 """
 
 import numpy as np
@@ -112,9 +113,7 @@ def project_f(f, mesh):
     """L2 projection of f onto elementwise constants: the cellwise means."""
     if isinstance(f, PwConstData):
         return f.values_on(mesh).copy()
-    vals = eval_f_on_elements(f, mesh, mesh.quad_points)
-    _, w = TRI_6
-    return vals @ w
+    return eval_f_on_elements(f, mesh, mesh.quad_points) @ TRI_6[1]
 
 
 class FluxField:
@@ -163,15 +162,14 @@ class FluxField:
 class SaddleSystem:
     """The saddle-point system of one mesh, held element by element.
 
-    ``loc`` holds the local mass matrices (nt, 3, 3) of ``mesh`` in the
-    outward basis (x - P_i) / (2|T|); with the edge signs they are the
-    whole operator, which the solve eliminates by ``a_inv`` = 1/a per
-    element.  ``rhs`` stacks the flux and divergence right-hand sides,
-    the latter built from the cellwise source means ``f_elem``.
+    The edge vectors ``E`` (nt, 3, 2) of ``mesh``, ``a_inv`` = 1/a per
+    element and the edge signs are the whole operator; the local mass
+    matrices are the module's closed form in them.  ``rhs`` stacks the flux
+    and divergence right-hand sides, the latter from the source means.
     """
 
-    def __init__(self, loc, a_inv, rhs, mesh, f_elem):
-        self.loc = loc
+    def __init__(self, E, a_inv, rhs, mesh, f_elem):
+        self.E = E
         self.a_inv = a_inv
         self.rhs = rhs
         self.mesh = mesh
@@ -180,13 +178,19 @@ class SaddleSystem:
     def apply(self, x):
         """``[[M, B^T], [B, 0]] @ x`` for ``x = (p, u)``: element T with
         outward fluxes ``q = s p[tri_edges]`` adds ``s (loc q + u_T)`` to
-        its edge rows, and ``sum(q)`` is its divergence row."""
-        mesh = self.mesh
+        its edge rows, with ``loc q = kappa (Pc (Pc^T q) + sigma (e.q) e)``
+        formed from ``E``, and ``sum(q)`` is its divergence row."""
+        mesh, E = self.mesh, self.E
         s, ne, edges = mesh.tri_edge_sign, mesh.n_edges, mesh.tri_edges
         q = s * x[:ne][edges]
-        flux = s * (np.einsum("tij,tj->ti", self.loc, q) + x[ne:, None])
+        div = q.sum(axis=1)
+        Pc = (E[:, [1, 2, 0]] - E[:, [2, 0, 1]]) / 3.0
+        loc_q = np.einsum("tid,td->ti", Pc, np.einsum("tid,ti->td", Pc, q))
+        loc_q += (np.einsum("tid,tid->t", E, E) / 36.0 * div)[:, None]
+        loc_q *= (0.25 * self.a_inv / mesh.areas)[:, None]
+        flux = s * (loc_q + x[ne:, None])
         rows = np.bincount(edges.ravel(), flux.ravel(), minlength=ne)
-        return np.concatenate([rows, q.sum(axis=1)])
+        return np.concatenate([rows, div])
 
 
 def assemble(mesh, problem, f_elem):
@@ -194,37 +198,22 @@ def assemble(mesh, problem, f_elem):
     f_elem = np.asarray(f_elem, dtype=np.float64)
     if f_elem.shape != (mesh.n_elements,):
         raise AssemblyError("f_elem must hold one value per element")
-
-    _, w = TRI_6
-    verts = mesh.vertices[mesh.triangles]                 # (nt, 3, 2)
-    pts = mesh.quad_points                                # (nt, q, 2)
-
-    # outward basis at point x: (x - P_i) / (2|T|); the local mass matrix
-    # is |T| sum_q w_q d_qi . d_qj / (a_T (2|T|)^2) with d_qi = x_q - P_i
-    nt, nq, ne = mesh.n_elements, w.size, mesh.n_edges
     a_inv = root_a_inv(problem, mesh)
-    d = pts[:, :, None, :] - verts[:, None, :, :]         # (nt, q, 3, 2)
-    ad = d * (a_inv[:, None] * w)[:, :, None, None]
-    loc = np.matmul(ad.transpose(0, 2, 1, 3).reshape(nt, 3, 2 * nq),
-                    d.transpose(0, 1, 3, 2).reshape(nt, 2 * nq, 3))
-    loc *= (0.25 / mesh.areas)[:, None, None]
-    loc = 0.5 * (loc + loc.transpose(0, 2, 1))            # exact symmetry
-
-    rhs = np.zeros(ne + nt)
+    ne = mesh.n_edges
+    rhs = np.zeros(ne + mesh.n_elements)
     g = problem.g
     if g is not None:
         bed = np.flatnonzero(mesh.boundary_edge)
         if bed.size:
-            a = mesh.vertices[mesh.edges[bed, 0]]
-            bpt = mesh.vertices[mesh.edges[bed, 1]]
-            epts = edge_points(EDGE_3, a, bpt)
-            _, ew = EDGE_3
+            epts = edge_points(EDGE_3, mesh.vertices[mesh.edges[bed, 0]],
+                               mesh.vertices[mesh.edges[bed, 1]])
             gv = np.asarray(g(epts.reshape(-1, 2))).reshape(epts.shape[:2])
             sign = np.where(mesh.edge_tris[bed, 0] >= 0, 1.0, -1.0)
-            rhs[bed] = sign * (gv @ ew)
+            rhs[bed] = sign * (gv @ EDGE_3[1])
 
     rhs[ne:] = -mesh.areas * f_elem
-    return SaddleSystem(loc, a_inv, rhs, mesh, f_elem)
+    E = np.diff(mesh.vertices[mesh.triangles[:, [1, 2, 0, 1]]], axis=1)
+    return SaddleSystem(E, a_inv, rhs, mesh, f_elem)
 
 
 class MixedSolution(FluxField):
@@ -240,6 +229,8 @@ class MixedSolution(FluxField):
     div_defect : max_T |div p_h + f_h|, the divergence-exactness defect
     balance_defect : max_T |sum_E s_E p_E + |T| f_T| / max_E |p_E|, the
         flux balance of each element relative to the largest flux
+    local_balance_defect : max_T |sum_E s_E p_E + |T| f_T| / (sum_E |p_E|
+        + |T| |f_T|), the same balance relative to each element's own terms
     """
 
     def __init__(self, mesh, p, u, f_elem, residual_inf):
@@ -262,18 +253,25 @@ class MixedSolution(FluxField):
         return float(np.abs(net + mesh.areas * self.f_elem).max()
                      / (scale if scale > 0.0 else 1.0))
 
+    @property
+    def local_balance_defect(self):
+        mesh = self.mesh
+        terms = np.column_stack([mesh.tri_edge_sign * self.p[mesh.tri_edges],
+                                 mesh.areas * self.f_elem])
+        scale = np.abs(terms).sum(axis=1)           # 0 only if every term is
+        return float((np.abs(terms.sum(axis=1))
+                      / np.where(scale > 0.0, scale, 1.0)).max())
 
-def _local_elimination(mesh, a_inv):
+
+def _local_elimination(system):
     """``(S, w)`` per element, so that ``loc q + u e = c``, ``e.q = r``
-    give ``q = S c + r/3`` and ``u = mean(c) - w r``.  With the edges
-    E_i = P_{i+2} - P_{i+1}, loc = (G + e e^T sum|E_i|^2/36) / (4 a_T |T|),
-    G the Gram matrix of the vertices less the centroid (G e = 0); hence
-    S = a_T/|T| E E^T, a_T times the Crouzeix-Raviart stiffness matrix
-    (Arnold-Brezzi 1985), and w = sum|E_i|^2 / (144 a_T |T|)."""
-    E = np.diff(mesh.vertices[mesh.triangles[:, [1, 2, 0, 1]]], axis=1)
-    EE = np.einsum("tid,tjd->tij", E, E)
-    return (EE / (a_inv * mesh.areas)[:, None, None],
-            np.trace(EE, axis1=1, axis2=2) * a_inv / (144.0 * mesh.areas))
+    give ``q = S c + r/3`` and ``u = mean(c) - w r``.  As Pc e = 0 in the
+    closed form of loc, S = a_T/|T| E E^T, a_T times the Crouzeix-Raviart
+    stiffness matrix, and w = kappa sigma = sum|E_i|^2 / (144 a_T |T|)."""
+    a_inv, areas = system.a_inv, system.mesh.areas
+    EE = np.einsum("tid,tjd->tij", system.E, system.E)
+    return (EE / (a_inv * areas)[:, None, None],
+            np.trace(EE, axis1=1, axis2=2) * a_inv / (144.0 * areas))
 
 
 def solve(system):
@@ -301,7 +299,7 @@ def solve(system):
     nt, ne = mesh.n_elements, mesh.n_edges
     # over- and underflow at the ends of the float range fail the contract
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        S, w = _local_elimination(mesh, system.a_inv)
+        S, w = _local_elimination(system)
 
     # trace unknowns: one per interior edge, in nested-dissection order
     n_tr = int(np.count_nonzero(~mesh.boundary_edge))

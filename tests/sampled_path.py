@@ -45,6 +45,16 @@ def local_matrices(mesh, A_inv):
     return 0.5 * (loc + loc.transpose(0, 2, 1))
 
 
+def saddle_product(mesh, loc, x):
+    """``[[M, B^T], [B, 0]] @ x`` for ``x = (p, u)``, element by element
+    from the local mass matrices ``loc``."""
+    s, ne, edges = mesh.tri_edge_sign, mesh.n_edges, mesh.tri_edges
+    q = s * x[:ne][edges]
+    flux = s * (np.einsum("tij,tj->ti", loc, q) + x[ne:, None])
+    return np.concatenate([np.bincount(edges.ravel(), flux.ravel(),
+                                       minlength=ne), q.sum(axis=1)])
+
+
 def element_samples(mesh, field, A_inv):
     """A^-1 q and curl(A^-1 q) at each element's 6-point rule points; A^-1
     is constant on elements, so the curl is beta (A^-1_21 - A^-1_12)."""

@@ -177,7 +177,9 @@ def test_lshape_contracts_hold_at_the_full_budget():
                     for r in rows])
     assert eff.max() / eff.min() <= 3.0
     assert contraction_scan(trace)[1] <= 0.95
-    assert trace.states[-1].sol.balance_defect <= 1e-12
+    sol = trace.states[-1].sol
+    assert sol.balance_defect <= 1e-12
+    assert sol.local_balance_defect <= 16 * np.finfo(np.float64).eps
 
 
 def test_bulk_marking_minimal_cardinality():

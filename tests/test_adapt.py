@@ -1,7 +1,9 @@
 """Marking, the adaptive loop, traces, rate fits, and the two-step variant."""
 
+import gc
 import itertools
 import json
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -132,6 +134,26 @@ def test_amfem_keeps_only_final_state_by_default():
         assert trace.states[0].mesh.n_elements == trace.rows[-1]["n_elem"]
     # the reference backfill still reached every row
     assert all(r["surrogate"] for r in trace.rows)
+
+
+def test_amfem_holds_one_iteration_at_a_time(monkeypatch):
+    # at each solve, once garbage is collected, no earlier mesh is alive
+    # but the root mesh, which every mesh holds as Mesh.root
+    import amfem.adapt as adapt
+    solve_on, seen, alive = adapt.solve_on, [], []
+
+    def watched(problem, mesh):
+        gc.collect()
+        alive.append([ref() for ref in seen
+                      if ref() not in (None, mesh, mesh.root)])
+        seen.append(weakref.ref(mesh))
+        return solve_on(problem, mesh)
+
+    monkeypatch.setattr(adapt, "solve_on", watched)
+    trace = amfem(builtin("lshape_singular"), theta=0.5, max_dofs=3000,
+                  keep=False)
+    assert len(alive) == len(trace.rows) > 2
+    assert not any(alive)
 
 
 def test_amfem_eps_stop():
@@ -396,9 +418,9 @@ def test_two_step_on_mesh_attached_source():
     mesh0 = create_initial(prob.domain)
     pw = replace(prob, f=PwConstData(mesh0, project_f(prob.f, mesh0)))
     trace = two_step(pw, eps=0.05, max_dofs=3000)
-    assert len(trace.rows) == 34
+    assert len(trace.rows) == 35
     assert trace.meta["approx_rows"] == 1
-    assert trace.rows[-1]["eta2"] == 0.04162607792464572
+    assert trace.rows[-1]["eta2"] == 0.041626077924645837
     assert trace.stop == "budget"
 
 

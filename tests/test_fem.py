@@ -1,6 +1,7 @@
 """Mixed RT0/P0 assembly and solve: dof bookkeeping, exactness, symmetry."""
 
 import gc
+import tracemalloc
 import weakref
 from dataclasses import replace
 
@@ -15,7 +16,7 @@ from amfem.fem import (AssemblyError, FluxField, MixedSolution, PwConstData,
 from amfem.mesh import (Mesh, ancestor_map, create_initial, dissection_order,
                         refine, uniform_refine)
 from amfem.problems import ProblemSpec, builtin, exact_errors, piecewise
-from sampled_path import a_inv_fn, at_points
+from sampled_path import a_inv_fn, at_points, local_matrices
 
 
 def const_problem(fval=1.0, name="const"):
@@ -117,14 +118,35 @@ def test_divergence_matrix_entries():
 
 
 def test_mass_matrix_spd():
-    # every local mass matrix is symmetric positive definite
+    # the flux block of the element-wise operator, column by column, is
+    # symmetric positive definite
     m = uniform_refine(create_initial("unit_square"), 2)
     sys = assemble(m, const_problem(),
                    project_f(lambda x, roots: np.zeros(
                        np.atleast_2d(x).shape[0]), m))
-    loc = sys.loc
-    assert np.array_equal(loc, loc.transpose(0, 2, 1))
-    assert np.linalg.eigvalsh(loc).min() > 0.0
+    ne = m.n_edges
+    M = np.stack([sys.apply(x)[:ne]
+                  for x in np.eye(ne + m.n_elements)[:ne]], axis=1)
+    assert np.abs(M - M.T).max() <= 1e-15 * np.abs(M).max()
+    assert np.linalg.eigvalsh(M).min() > 0.0
+
+
+def test_assemble_holds_no_local_matrix():
+    # the traced heap of one assembly, its result included, stays at a few
+    # vectors per element: no (nt, 3, 3) local matrix, and none of the
+    # (nt, 6, 3, 2) quadrature terms that would build one
+    p = builtin("square_sine")
+    m = uniform_refine(create_initial(p.domain), 11)
+    fe = project_f(p.f, m)
+    assemble(m, p, fe)                      # the mesh's cached geometry
+    tracemalloc.start()
+    try:
+        assemble(m, p, fe)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert m.n_elements >= 4096
+    assert peak <= 256 * m.n_elements
 
 
 # ---------------------------------------------------------------------------
@@ -251,6 +273,22 @@ def test_balance_defect_is_relative_to_the_largest_flux():
     assert sol.balance_defect == 0.0
 
 
+def test_local_balance_defect_is_relative_to_each_element():
+    m = uniform_refine(create_initial("unit_square"), 2)
+    rng = np.random.default_rng(3)
+    p, f = rng.standard_normal(m.n_edges), rng.standard_normal(m.n_elements)
+    terms = [[s * p[e] for e, s in zip(m.tri_edges[t], m.tri_edge_sign[t])]
+             + [m.areas[t] * f[t]] for t in range(m.n_elements)]
+    ref = max(abs(sum(ts)) / sum(map(abs, ts)) for ts in terms)
+    u = np.zeros(m.n_elements)
+    for c in (1e-150, 1.0, 1e150):
+        sol = MixedSolution(m, c * p, u, c * f, 0.0)
+        assert sol.local_balance_defect == pytest.approx(ref, rel=1e-12)
+    # elements without flux or source balance exactly, without a 0/0
+    sol = solve_on(const_problem(fval=0.0), m)
+    assert sol.local_balance_defect == 0.0
+
+
 def lca_owner(mesh, e):
     """(root, node) of the lowest common ancestor of interior edge ``e``'s
     elements, or None for an edge between two root elements."""
@@ -369,18 +407,18 @@ def test_apply_matches_dense_saddle_matrix(case):
 
 @pytest.mark.parametrize("scale", [1e-150, 1.0, 1e150])
 def test_local_elimination_matches_linalg_inv(scale):
-    # the closed form against the elimination through W = loc^-1:
-    # q = S c + z r and u = (W e.c - r) / s, with s = e.W e, z = W e / s
-    # and S = W - (W e) z^T
+    # the closed form against the elimination through W = loc^-1, with
+    # loc the sampled path's local matrices: q = S c + z r and
+    # u = (W e.c - r) / s, with s = e.W e, z = W e / s and S = W - (W e) z^T
     import amfem.fem as fem
     p, m = SOLVE_CASES["checkerboard_graded"]()
     p = replace(p, a=np.asarray(p.a) * scale)
     sys = assemble(m, p, project_f(p.f, m))
-    W = np.linalg.inv(sys.loc)
+    W = np.linalg.inv(local_matrices(m, a_inv_fn(p.a)))
     We = W.sum(axis=2)
     s = We.sum(axis=1)
     ref_S = W - We[:, :, None] * We[:, None, :] / s[:, None, None]
-    S, w = fem._local_elimination(m, sys.a_inv)
+    S, w = fem._local_elimination(sys)
     assert np.all(np.abs(S - ref_S) <= 1e-13 * np.abs(ref_S).max(
         axis=(1, 2), keepdims=True))
     assert np.all(np.abs(We / s[:, None] - 1.0 / 3.0) <= 1e-13 / 3.0)
@@ -390,7 +428,8 @@ def test_local_elimination_matches_linalg_inv(scale):
 @pytest.mark.parametrize("eps", [1e-6, 1e-8, 1e-12])
 def test_thin_elements_keep_the_fem_contract(eps):
     # a strip of aspect eps: the local matrices are nearly singular, but
-    # their elimination is in closed form and stays exact
+    # their elimination is in closed form and stays exact; each element
+    # balances to a few ulps of its own fluxes and source
     m = uniform_refine(Mesh(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, eps],
                                       [0.0, eps]]),
                             np.array([[1, 2, 0], [3, 0, 2]])), 4)
@@ -398,6 +437,7 @@ def test_thin_elements_keep_the_fem_contract(eps):
     sol = solve_on(p, m)
     assert sol.div_defect <= 1e-9 * (1.0 + np.abs(sol.f_elem).max())
     assert sol.balance_defect <= 1e-12
+    assert sol.local_balance_defect <= 16 * np.finfo(np.float64).eps
 
 
 def test_failed_factorization_is_a_solver_error(monkeypatch):

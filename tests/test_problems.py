@@ -134,13 +134,14 @@ def _graded(domain):
 def test_scalar_coefficients_equal_the_sampled_path(name):
     # reading 1/a once per element performs the products of sampling
     # A^-1 = (1/a) I as a 2x2 matrix at every point, without its
-    # off-diagonal zeros, which only add +-0: the local matrices, both
-    # estimators and the error agree bit for bit
+    # off-diagonal zeros, which only add +-0: both estimators and the error
+    # agree bit for bit, and the closed-form operator matches the sampled
+    # local matrices to round-off
     prob = builtin(name)
     A_inv = sampled.a_inv_fn(prob.a)
     mesh = _graded(prob.domain)
     sol = solve_on(prob, mesh)
-    loc = assemble(mesh, prob, project_f(prob.f, mesh)).loc
+    system = assemble(mesh, prob, project_f(prob.f, mesh))
     stress = indicators_stress(mesh, sol, prob)
     full = indicators_full(mesh, sol, prob, kappa=0.5)
     ref = None if prob.has_exact else make_reference(prob, mesh)
@@ -158,7 +159,10 @@ def test_scalar_coefficients_equal_the_sampled_path(name):
         if ref is None else ref.eval(ids, pts)
     flux2 = sampled.flux_norm2(fine, pts, exact - sol.restrict_to(fine).eval(
         ids, pts), A_inv)
-    assert np.array_equal(loc, sampled.local_matrices(mesh, A_inv))
+    x = np.random.default_rng(5).standard_normal(mesh.n_edges
+                                                 + mesh.n_elements)
+    Kx = sampled.saddle_product(mesh, sampled.local_matrices(mesh, A_inv), x)
+    assert np.abs(system.apply(x) - Kx).max() <= 1e-13 * np.abs(Kx).max()
     assert np.array_equal(stress.eta2_elem, stress.data2 + curl2 + jump2)
     assert np.array_equal(full.eta2_elem,
                           full.data2 + curl2 + jump2 + disp2)

@@ -35,15 +35,15 @@ CONFIGS = {
 RUNS = {
     "lshape_adaptive": (
         ("--problem", "lshape_singular", "--theta", "0.5"),
-        "ef426d64ef59a7e6613ca2e131ef497d765ca6d5a9c1eee18846e3711c8aa64f",
-        "a3db1bc165c91240a81622651b528851545efd8a867cb593a9074b25ca3db9aa",
-        0.01097050005845832, 6.515197966395718,
-        1.8362441191841943e-12, 2.8203831222800244e-05),
+        "0d8ba82808321230efed5c691a83be95d82a80b997949e9aa4a5ce61cff43a2f",
+        "cff662968d2a388c297f609bc63ddebe49547fb180115a36353f7dcd437382c5",
+        0.010970500058458257, 6.547277032926829,
+        1.8362441191841943e-12, 3.0008612434823624e-05),
     "checkerboard_adaptive": (
         ("--problem", "checkerboard", "--theta", "0.5"),
-        "f40f52e6a1ef608938e33ff56c8b2c4089ce835dff85c2ce56a860c3192fdfd0",
+        "4b1c9ed84e85a8edbbe0ba4cb258cf9672fc30dee680fe4a85d39b9f673b8176",
         "04760bddbb92a22b864d6ad7af252de7c8a11e6c003973be91b94c59b35793fd",
-        0.0001812872134932172, 0.09426080262700114,
+        0.00018128721349321744, 0.0942608109020694,
         4.3263334898045e-33, 7.10940609967627e-31),
     "sine_uniform": (
         ("--problem", "square_sine", "--mode", "uniform", "--theta", "0.5"),
@@ -60,10 +60,10 @@ RUNS = {
         0.0, 41.76294042651664),
     "sine_full_kappa": (
         ("--problem", "square_sine", "--estimator", "full", "--kappa", "0.5"),
-        "a18d0e24a02107325fdc06e9631b38a6e2bf70c47a789cb3c5977870a746add5",
-        "3406c057181fc283b4ca4d7de1d7c248c2b25d20f3d855ded55f5d9262fbe2d6",
-        0.06982464114286632, 172.90597932815265,
-        0.00016088340264049374, 55.637273212946695),
+        "7a92a8ec89abad0ae54e63e192de122e4efaee213601b3d621b224818172ca74",
+        "bff462dfe46af34de59b471a5b197a868175fe5b13f913c370516b0c61ec5266",
+        0.06982464107386746, 181.9701795196098,
+        0.0001608834026404937, 57.26463290812878),
     "square_pwconst": (
         ("--problem", "square_pwconst"),
         "914e5920ab200d789e736ec6114296f968b09b8b25cbb41482add8fcea509746",
